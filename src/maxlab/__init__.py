@@ -18,9 +18,10 @@ from .core import (
 from .spectral import (
     MuSymmetricOperator,
     SpectralDecomposition,
-    apply_spectral_function,
+    apply_multiplier,
     complex_gamma,
     decompose,
+    family_sup,
     gamma_values,
     operator_norm,
     operator_norm_lower_bound,
@@ -39,7 +40,6 @@ from .semigroup import (
     sector_contraction_probe,
     semigroup_matrix,
     stein_angle,
-    tensor_evolve,
     verify_contraction_property,
 )
 from .modulus import (
@@ -57,8 +57,6 @@ from .ergodic import (
     hds_bound,
     hds_experiment,
     maximal_ergodic,
-    tensor_ergodic_average,
-    vector_maximal_ergodic,
 )
 from .mellin import (
     BipPlan,
@@ -80,17 +78,16 @@ __all__ = [
     "__version__",
     "BanachNormDescriptor", "BochnerField", "ToleranceConfig", "WeightedSpace",
     "bochner_norm", "lp_norm", "pointwise_banach_norm", "pointwise_sup",
-    "MuSymmetricOperator", "SpectralDecomposition", "apply_spectral_function",
-    "complex_gamma", "decompose", "gamma_values", "operator_norm",
+    "MuSymmetricOperator", "SpectralDecomposition", "apply_multiplier",
+    "complex_gamma", "decompose", "family_sup", "gamma_values", "operator_norm",
     "operator_norm_lower_bound", "spectral_matrix",
     "ContractionSemigroupGenerator", "DiffusionGenerator", "EnsembleSpec",
     "SectorGrid", "build_ensemble", "evolve", "exemplar_contraction_generator",
     "imaginary_power", "random_generator", "sector_contraction_probe",
-    "semigroup_matrix", "stein_angle", "tensor_evolve", "verify_contraction_property",
+    "semigroup_matrix", "stein_angle", "verify_contraction_property",
     "ModulusResult", "Subdivision", "linear_modulus", "modulus_generator",
     "modulus_semigroup", "phi", "subpositivity_suite", "verify_domination",
     "ergodic_average", "hds_bound", "hds_experiment", "maximal_ergodic",
-    "tensor_ergodic_average", "vector_maximal_ergodic",
     "BipPlan", "BipPlanError", "bip_plan", "decay_constant",
     "decomposition_residual", "imaginary_power_estimate", "m_theta",
     "maximal_theorem_experiment", "mellin_reconstruct", "n_hat",

@@ -9,7 +9,9 @@ error.  CSV bodies are deterministic functions of the config (17
 significant digits, '.' decimal, no timing columns); timings live only
 in the manifest.
 
-``full_suite`` runs the whole acceptance battery; the per-criterion
+``full-suite`` runs the whole acceptance battery and takes no config
+key other than ``seed`` and ``output``; it writes the criterion tables,
+the manifest and a ``<prefix>.summary.json``.  The per-criterion
 functions are also imported directly by the test-suite.
 """
 
@@ -163,6 +165,10 @@ class ExperimentConfig:
         merged = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS[command])
         for source in (document or {}, overrides or {}):
             _require_keys("config", source, tuple(_BASE_DEFAULTS))
+            ignored = sorted(set(source) - {"seed", "output"})
+            if command == "full-suite" and ignored:
+                raise ConfigError(f"full-suite runs a fixed battery and takes only seed and "
+                                  f"output; it would ignore: {', '.join(ignored)}")
             merged = _deep_merge(merged, source)
 
         _require_keys("ensemble", merged["ensemble"], ("n", "count", "kind", "c"))
@@ -285,23 +291,24 @@ def _table_text(header: tuple, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_artifacts(output: str, manifest: dict, tables: dict) -> list:
-    directory = os.path.dirname(output)
+def _write_text(path: str, text: str) -> str:
+    directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, (header, rows) in tables.items():
-        path = f"{output}.{name}.csv"
-        with open(path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(_table_text(header, rows))
-        written.append(path)
-    manifest = dict(manifest)
-    manifest["tables"] = [os.path.basename(p) for p in written]
-    path = f"{output}.manifest.json"
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    written.append(path)
+        handle.write(text)
+    return path
+
+
+def _json_text(document: dict) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def _write_artifacts(output: str, manifest: dict, tables: dict) -> list:
+    written = [_write_text(f"{output}.{name}.csv", _table_text(*table))
+               for name, table in tables.items()]
+    manifest = dict(manifest, tables=[os.path.basename(p) for p in written])
+    written.append(_write_text(f"{output}.manifest.json", _json_text(manifest)))
     return written
 
 
@@ -861,14 +868,8 @@ ACCEPTANCE_CRITERIA = (
 )
 
 
-def full_suite(seed: int = DEFAULT_SEED, output: str | None = None) -> dict:
-    """Run the acceptance battery; returns the summary document.
-
-    When ``output`` is given, every criterion table is written as
-    ``<output>.<table>.csv`` and the summary as ``<output>.summary.json``
-    (with timings; the CSV bodies themselves are timing-free and
-    deterministic).
-    """
+def _battery(seed: int) -> tuple[dict, dict]:
+    """Run the twelve criteria; returns the summary document and all criterion tables."""
     summary = {"seed": seed, "criteria": {}, "passed": True}
     tables = {}
     for index, criterion in enumerate(ACCEPTANCE_CRITERIA, start=1):
@@ -882,23 +883,30 @@ def full_suite(seed: int = DEFAULT_SEED, output: str | None = None) -> dict:
         }
         summary["passed"] = summary["passed"] and result.passed
         tables.update(result.tables)
+    return summary, tables
+
+
+def full_suite(seed: int = DEFAULT_SEED, output: str | None = None) -> dict:
+    """Run the acceptance battery; returns the summary document.
+
+    When ``output`` is given, every criterion table is written as
+    ``<output>.<table>.csv`` and the summary as ``<output>.summary.json``
+    (with timings; the CSV bodies themselves are timing-free and
+    deterministic).
+    """
+    summary, tables = _battery(seed)
     if output is not None:
-        directory = os.path.dirname(output)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        for name, (header, rows) in tables.items():
-            with open(f"{output}.{name}.csv", "w", encoding="ascii", newline="\n") as handle:
-                handle.write(_table_text(header, rows))
-        with open(f"{output}.summary.json", "w", encoding="ascii", newline="\n") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        for name, table in tables.items():
+            _write_text(f"{output}.{name}.csv", _table_text(*table))
+        _write_text(f"{output}.summary.json", _json_text(summary))
     return summary
 
 
 def _cmd_full_suite(config: ExperimentConfig):
-    summary = full_suite(config.seed, output=config.output)
+    summary, tables = _battery(config.seed)
+    print(_write_text(f"{config.output}.summary.json", _json_text(summary)))
     details = {name: entry["passed"] for name, entry in summary["criteria"].items()}
-    return summary["passed"], details, {}
+    return summary["passed"], details, tables
 
 
 _COMMAND_IMPL = {
@@ -922,11 +930,7 @@ def run(config: ExperimentConfig) -> int:
     manifest["passed"] = bool(passed)
     manifest["details"] = details
     manifest["timings"] = {"seconds": round(elapsed, 3)}
-    if config.command != "full-suite":
-        written = _write_artifacts(config.output, manifest, tables)
-    else:
-        written = [f"{config.output}.summary.json"]
-    for path in written:
+    for path in _write_artifacts(config.output, manifest, tables):
         print(path)
     print(f"{config.command}: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1

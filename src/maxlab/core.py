@@ -23,7 +23,9 @@ __all__ = [
     "BochnerField",
     "as_scalar_field",
     "lp_norm",
+    "field_parts",
     "bochner_norm",
+    "fiber_norm",
     "pointwise_banach_norm",
     "pointwise_sup",
     "space_to_json",
@@ -176,23 +178,35 @@ def lp_norm(space: WeightedSpace, f, p: float) -> float:
     return float((space.mu @ a**p) ** (1.0 / p))
 
 
-def pointwise_banach_norm(field: BochnerField) -> np.ndarray:
-    """Real scalar field ``x -> |F(x)|_B`` of per-point fiber norms."""
-    a = np.abs(field.values)
-    if field.norm.is_sup:
-        return a.max(axis=1)
-    r = field.norm.r
+def fiber_norm(values, r: float) -> np.ndarray:
+    """l^r norm over the last axis; ``r = inf`` is the largest modulus."""
+    a = np.abs(values)
+    if math.isinf(r):
+        return a.max(axis=-1)
     if r == 2.0:
         # common case, cheaper and slightly more accurate
-        return np.sqrt((a * a).sum(axis=1))
-    return (a**r).sum(axis=1) ** (1.0 / r)
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a**r).sum(axis=-1) ** (1.0 / r)
 
 
-def bochner_norm(space: WeightedSpace, field: BochnerField, p: float) -> float:
-    """Weighted L^p norm of the per-point fiber norms."""
-    if field.n != space.n:
-        raise ValueError(f"field has {field.n} points, space has {space.n}")
-    return lp_norm(space, pointwise_banach_norm(field), p)
+def pointwise_banach_norm(field: BochnerField) -> np.ndarray:
+    """Real scalar field ``x -> |F(x)|_B`` of per-point fiber norms."""
+    return fiber_norm(field.values, field.norm.r)
+
+
+def field_parts(space: WeightedSpace, f) -> tuple[np.ndarray, float | None]:
+    """(values, r) of a Bochner field over ``space``; a scalar field gives (values, None)."""
+    if isinstance(f, BochnerField):
+        if f.n != space.n:
+            raise ValueError(f"field has {f.n} points, space has {space.n}")
+        return f.values, f.norm.r
+    return as_scalar_field(space, f), None
+
+
+def bochner_norm(space: WeightedSpace, field, p: float) -> float:
+    """Weighted L^p norm of the per-point fiber norms of a Bochner or scalar field."""
+    values, r = field_parts(space, field)
+    return lp_norm(space, values if r is None else fiber_norm(values, r), p)
 
 
 def pointwise_sup(fields) -> np.ndarray:

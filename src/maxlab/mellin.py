@@ -26,26 +26,28 @@ from .core import (
     BanachNormDescriptor,
     BochnerField,
     bochner_norm,
+    fiber_norm,
+    field_parts,
     lp_norm,
-    pointwise_banach_norm,
 )
-from .ergodic import tensor_ergodic_average, vector_maximal_ergodic
+from .ergodic import ergodic_average, maximal_ergodic
 from .semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    evolve,
     imaginary_power_matrix,
     stein_angle,
-    tensor_evolve,
 )
 from .spectral import (
-    apply_spectral_function_columns,
+    apply_multiplier,
+    apply_to_field,
+    family_sup,
     gamma_values,
     operator_norm_lower_bound,
 )
 
 __all__ = [
-    "MultiplierSample",
     "BipPlan",
     "BipPlanError",
     "BipEstimate",
@@ -69,15 +71,6 @@ __all__ = [
 
 DEFAULT_QUAD_U = 40.0
 DEFAULT_QUAD_H = 0.01
-
-
-@dataclass(frozen=True)
-class MultiplierSample:
-    """One sampled value of the Fourier dual n_hat at (theta, u)."""
-
-    theta: float
-    u: float
-    value: complex
 
 
 class BipPlanError(ValueError):
@@ -236,8 +229,8 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
                             rel_change=float(rel_change), stable=bool(rel_change < 0.05))
 
 
-def apply_m_theta(gen, theta: float, t: float, field: BochnerField) -> BochnerField:
-    """Columnwise m_theta(t L) on a Bochner field, via the direct formula.
+def apply_m_theta(gen, theta: float, t: float, field):
+    """m_theta(t L) on a scalar or Bochner field, via the direct formula.
 
     The direct formula is defined on the whole spectrum including the
     kernel (m_theta(0) = 0), so no Mellin representation is involved here.
@@ -248,27 +241,16 @@ def apply_m_theta(gen, theta: float, t: float, field: BochnerField) -> BochnerFi
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"time must be positive and finite, got {t}")
-    if field.n != gen.n:
-        raise ValueError(f"field has {field.n} points, generator has {gen.n}")
     gvals = _m_theta_values(theta, t * gen.decomposition.eigenvalues)
-    return field.replace_values(
-        apply_spectral_function_columns(gen.decomposition, gvals, field.values)
-    )
+    return apply_to_field(gen.decomposition, gvals, field)
 
 
 def m_theta_maximal(gen, field: BochnerField, grid: SectorGrid) -> np.ndarray:
     """Pointwise sup over (t, theta) grid nodes of |m_theta(t L) F|_B."""
-    if field.n != gen.n:
-        raise ValueError(f"field has {field.n} points, generator has {gen.n}")
-    dec = gen.decomposition
-    coeff = dec.eigenvectors.T @ (gen.space.mu[:, None] * field.values)
-    best = np.zeros(gen.n)
-    for t in grid.radii:
-        for theta in grid.angles:
-            gvals = _m_theta_values(theta, t * dec.eigenvalues)
-            values = dec.eigenvectors @ (gvals[:, None] * coeff)
-            best = np.maximum(best, pointwise_banach_norm(field.replace_values(values)))
-    return best
+    values, r = field_parts(gen.space, field)
+    lam = gen.decomposition.eigenvalues
+    gvals = [_m_theta_values(theta, t * lam) for t in grid.radii for theta in grid.angles]
+    return family_sup(gen.decomposition, gvals, values, r)
 
 
 def mellin_reconstruct(theta: float, lam: float, U: float = DEFAULT_QUAD_U,
@@ -320,8 +302,8 @@ def decomposition_residual(gen, z: complex, field: BochnerField) -> float:
         raise ValueError(f"z must lie in the closed right half-plane, got {z}")
     t = abs(z)
     theta = math.atan2(z.imag, z.real)
-    lhs = tensor_evolve(gen, z, field)
-    avg = tensor_ergodic_average(gen, t, field)
+    lhs = evolve(gen, z, field)
+    avg = ergodic_average(gen, t, field)
     mpart = apply_m_theta(gen, theta, t, field)
     diff = field.replace_values(lhs.values - avg.values - mpart.values)
     return bochner_norm(gen.space, diff, 2.0)
@@ -333,16 +315,9 @@ def sector_maximal(gen, field: BochnerField, grid: SectorGrid) -> np.ndarray:
     Refining the grid never decreases the result (the node set only
     grows).
     """
-    if field.n != gen.n:
-        raise ValueError(f"field has {field.n} points, generator has {gen.n}")
+    values, r = field_parts(gen.space, field)
     dec = gen.decomposition
-    coeff = dec.eigenvectors.T @ (gen.space.mu[:, None] * field.values)
-    best = np.zeros(gen.n)
-    for z in grid.points():
-        gvals = np.exp(-z * dec.eigenvalues)
-        values = dec.eigenvectors @ (gvals[:, None] * coeff)
-        best = np.maximum(best, pointwise_banach_norm(field.replace_values(values)))
-    return best
+    return family_sup(dec, np.exp(np.multiply.outer(-grid.points(), dec.eigenvalues)), values, r)
 
 
 def bip_plan(p: float, r: float, psi: float, theta: float | None = None,
@@ -441,7 +416,7 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
                 denom = bochner_norm(gen.space, field, p)
                 maximal = lp_norm(gen.space, sector_maximal(gen, field, grid), p)
                 worst = max(worst, maximal / denom)
-                ergodic_part = lp_norm(gen.space, vector_maximal_ergodic(gen, field, grid.radii), p)
+                ergodic_part = lp_norm(gen.space, maximal_ergodic(gen, field, grid.radii), p)
                 multiplier_part = lp_norm(gen.space, m_theta_maximal(gen, field, grid), p)
                 excess = maximal - ergodic_part - multiplier_part - 1e-9 * denom
                 max_excess = max(max_excess, excess)
@@ -483,18 +458,12 @@ def pointwise_convergence_profile(gen, field: BochnerField, psi: float,
         angles = np.zeros(1)
     else:
         angles = np.linspace(-psi, psi, n_angles)
+    nodes = np.asarray([rho * complex(math.cos(angle), math.sin(angle))
+                        for rho in radii for angle in angles])
     dec = gen.decomposition
-    coeff = dec.eigenvectors.T @ (gen.space.mu[:, None] * field.values)
-    per_radius = np.empty(radii.size)
-    for k, rho in enumerate(radii):
-        worst = 0.0
-        for angle in angles:
-            z = rho * complex(math.cos(angle), math.sin(angle))
-            gvals = np.exp(-z * dec.eigenvalues)
-            values = dec.eigenvectors @ (gvals[:, None] * coeff)
-            deviation = pointwise_banach_norm(field.replace_values(values - field.values))
-            worst = max(worst, float(deviation.max()))
-        per_radius[k] = worst
+    flowed = apply_multiplier(dec, np.exp(np.multiply.outer(-nodes, dec.eigenvalues)), field.values)
+    deviation = fiber_norm(flowed - field.values, field.norm.r)
+    per_radius = deviation.reshape(radii.size, -1).max(axis=1)
     errors = np.maximum.accumulate(per_radius[::-1])[::-1]
     window = radii <= radii[-1] * 10.0 * (1.0 + 1e-12)
     if window.sum() >= 2 and np.all(errors[window] > 0.0):

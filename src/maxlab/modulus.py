@@ -28,7 +28,7 @@ from .core import (
     pointwise_sup,
 )
 from .semigroup import ContractionSemigroupGenerator, DiffusionGenerator, semigroup_matrix
-from .spectral import MuSymmetricOperator, operator_norm
+from .spectral import MuSymmetricOperator
 
 __all__ = [
     "Subdivision",

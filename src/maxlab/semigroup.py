@@ -22,15 +22,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    BochnerField,
     ToleranceConfig,
     WeightedSpace,
-    as_scalar_field,
 )
 from .spectral import (
     MuSymmetricOperator,
     SpectralDecomposition,
-    apply_spectral_function_columns,
+    apply_to_field,
     decompose,
     operator_norm,
     operator_norm_lower_bound,
@@ -50,7 +48,6 @@ __all__ = [
     "exemplar_contraction_generator",
     "semigroup_matrix",
     "evolve",
-    "tensor_evolve",
     "imaginary_power",
     "imaginary_power_matrix",
     "stein_angle",
@@ -328,29 +325,12 @@ def semigroup_matrix(gen, z) -> np.ndarray:
     return spectral_matrix(gen.decomposition, np.exp(-z * lam))
 
 
-def evolve(gen, z, f) -> np.ndarray:
-    """Apply exp(-z L) to a scalar field; needs Re z >= 0."""
+def evolve(gen, z, f):
+    """Apply exp(-z L) to a scalar field, or columnwise to a Bochner field; needs Re z >= 0."""
     z = complex(z)
     if z.real < 0.0:
         raise ValueError(f"evolution requires Re z >= 0, got z = {z}")
-    f = as_scalar_field(gen.space, f)
-    lam = gen.decomposition.eigenvalues
-    gvals = np.exp(-z * lam)
-    coeff = gen.decomposition.eigenvectors.T @ (gen.space.mu * f)
-    return gen.decomposition.eigenvectors @ (gvals * coeff)
-
-
-def tensor_evolve(gen, z, field: BochnerField) -> BochnerField:
-    """Columnwise extension of exp(-z L) to Bochner fields."""
-    z = complex(z)
-    if z.real < 0.0:
-        raise ValueError(f"evolution requires Re z >= 0, got z = {z}")
-    if field.n != gen.n:
-        raise ValueError(f"field has {field.n} points, generator has {gen.n}")
-    gvals = np.exp(-z * gen.decomposition.eigenvalues)
-    return field.replace_values(
-        apply_spectral_function_columns(gen.decomposition, gvals, field.values)
-    )
+    return apply_to_field(gen.decomposition, np.exp(-z * gen.decomposition.eigenvalues), f)
 
 
 def _imaginary_power_values(lam: np.ndarray, u: float) -> np.ndarray:
@@ -361,12 +341,10 @@ def _imaginary_power_values(lam: np.ndarray, u: float) -> np.ndarray:
     return out
 
 
-def imaginary_power(gen, u: float, f) -> np.ndarray:
-    """Apply L^(iu) to a scalar field; an isometry of weighted L^2."""
-    f = as_scalar_field(gen.space, f)
+def imaginary_power(gen, u: float, f):
+    """Apply L^(iu) to a scalar or Bochner field; an isometry of weighted L^2."""
     gvals = _imaginary_power_values(gen.decomposition.eigenvalues, float(u))
-    coeff = gen.decomposition.eigenvectors.T @ (gen.space.mu * f)
-    return gen.decomposition.eigenvectors @ (gvals * coeff)
+    return apply_to_field(gen.decomposition, gvals, f)
 
 
 def imaginary_power_matrix(gen, u: float) -> np.ndarray:

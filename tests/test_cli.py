@@ -180,3 +180,48 @@ def test_main_honest_failure_exit_code(tmp_path, capsys):
     assert "pointwise: FAIL" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "fail.manifest.json").read_text())
     assert manifest["passed"] is False
+
+
+def test_full_suite_rejects_keys_it_would_ignore(tmp_path, capsys):
+    assert main(["full-suite", "--trials", "1", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "ensemble" in err and "trials" in err
+    document = tmp_path / "suite.json"
+    document.write_text('{"exponents": {"p": [3.0]}}')
+    assert main(["full-suite", "--config", str(document)]) == 2
+    assert "exponents" in capsys.readouterr().err
+    # the keys the battery does use stay valid, from flags and from a document
+    cfg = ExperimentConfig.from_sources("full-suite", document={"seed": 3},
+                                        overrides={"output": str(tmp_path / "s")})
+    assert (cfg.seed, cfg.output) == (3, str(tmp_path / "s"))
+
+
+def test_full_suite_writes_a_manifest(tmp_path, monkeypatch, capsys):
+    # two fast criteria stand in for the battery; the artifact path is the same
+    from maxlab import cli
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA",
+                        (cli.criterion_gamma, cli.criterion_planner))
+    prefix = tmp_path / "suite"
+    assert main(["full-suite", "--seed", "7", "--out", str(prefix)]) == 0
+    assert "full-suite: PASS" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "suite.manifest.json").read_text())
+    assert manifest["config"]["seed"] == 7
+    assert manifest["passed"] is True
+    assert set(manifest["versions"]) == {"maxlab", "numpy", "python"}
+    assert manifest["timings"]["seconds"] >= 0.0
+    assert manifest["tables"] == ["suite.c03_gamma.csv", "suite.c09_planner.csv"]
+    summary = json.loads((tmp_path / "suite.summary.json").read_text())
+    assert summary["seed"] == 7
+    assert list(summary["criteria"]) == ["01_gamma-identities", "02_interpolation-planner"]
+
+
+@pytest.mark.parametrize("c", ["1e-8", "1e-4", "1", "1e4", "1e8"])
+def test_commands_accept_every_rate_scale(tmp_path, c):
+    # rounding in mu-symmetry grows with c; at c = 1e8 it once ended in a traceback
+    small = tmp_path / "small.json"
+    small.write_text('{"grids": {"n_radii": 3, "n_angles": 3}, "trials": 2}')
+    for command in ("hds", "modulus", "verify-semigroup"):
+        args = [command, "--c", c, "--count", "2", "--config", str(small),
+                "--out", str(tmp_path / command)]
+        assert main(args) == 0, command

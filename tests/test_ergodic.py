@@ -17,8 +17,6 @@ from maxlab.ergodic import (
     hds_bound,
     hds_experiment,
     maximal_ergodic,
-    tensor_ergodic_average,
-    vector_maximal_ergodic,
 )
 
 
@@ -79,11 +77,12 @@ def test_tensor_average_factorises_over_simple_tensors():
     f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     field = BochnerField(f[:, None] * u[None, :], BanachNormDescriptor(3, 2.0))
-    out = tensor_ergodic_average(gen, 0.8, field)
+    out = ergodic_average(gen, 0.8, field)
+    assert out.norm == field.norm
     want = ergodic_average(gen, 0.8, f)[:, None] * u[None, :]
     np.testing.assert_allclose(out.values, want, atol=1e-12)
     with pytest.raises(ValueError):
-        tensor_ergodic_average(random_generator(4, 75), 0.8, field)
+        ergodic_average(random_generator(4, 75), 0.8, field)
 
 
 def test_default_time_grid_refinement():
@@ -109,7 +108,7 @@ def test_vector_maximal_dominated_by_averaged_modulus():
         values = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         field = BochnerField(values, BanachNormDescriptor(3, 3.0))
         grid = np.geomspace(1e-2, 1e2, 9)
-        lhs = vector_maximal_ergodic(gen, field, grid)
+        lhs = maximal_ergodic(gen, field, grid)
         h = pointwise_banach_norm(field)
         rhs = np.max([averaged_modulus_matrix(gen, t) @ h for t in grid], axis=0)
         assert np.all(lhs <= rhs + 1e-10)

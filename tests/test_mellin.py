@@ -14,13 +14,12 @@ from maxlab.semigroup import (
     DiffusionGenerator,
     EnsembleSpec,
     SectorGrid,
+    evolve,
     random_generator,
     stein_angle,
-    tensor_evolve,
 )
 from maxlab.mellin import (
     BipPlanError,
-    MultiplierSample,
     apply_m_theta,
     bip_plan,
     decay_constant,
@@ -62,8 +61,6 @@ def test_n_hat_spot_values():
     assert abs(v) == pytest.approx(0.3688014743612972346, abs=1e-14)
     # removable singularity
     assert n_hat(0.7, 0.0) == pytest.approx(-(1.0 + 0.7j), abs=1e-15)
-    sample = MultiplierSample(theta=0.0, u=1.0, value=v)
-    assert sample.u == 1.0
 
 
 def test_n_hat_is_the_fourier_transform_of_the_log_multiplier():
@@ -196,7 +193,7 @@ def test_sector_maximal_dominates_grid_nodes_and_refines_monotonely():
     grid = SectorGrid(0.2, np.geomspace(0.1, 10.0, 5), np.linspace(-0.2, 0.2, 3))
     best = sector_maximal(gen, field, grid)
     for z in grid.points():
-        node = pointwise_banach_norm(tensor_evolve(gen, z, field))
+        node = pointwise_banach_norm(evolve(gen, z, field))
         assert np.all(node <= best + 1e-12)
     finer = sector_maximal(gen, field, grid.refine())
     assert np.all(finer >= best - 1e-12)

@@ -22,7 +22,6 @@ from maxlab.semigroup import (
     sector_contraction_probe,
     semigroup_matrix,
     stein_angle,
-    tensor_evolve,
     verify_contraction_property,
 )
 
@@ -131,7 +130,7 @@ def test_tensor_evolve_is_columnwise():
     rng = np.random.default_rng(1)
     values = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     field = BochnerField(values, BanachNormDescriptor(3, 4.0))
-    out = tensor_evolve(gen, 0.4 + 0.2j, field)
+    out = evolve(gen, 0.4 + 0.2j, field)
     assert out.norm == field.norm
     for j in range(3):
         np.testing.assert_allclose(out.values[:, j], evolve(gen, 0.4 + 0.2j, values[:, j]),

@@ -1,4 +1,4 @@
-"""Tests for the Jacobi eigensolver, spectral calculus and Gamma evaluation."""
+"""Tests for the Jacobi eigensolver, the multiplier kernel and Gamma evaluation."""
 
 import math
 
@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from maxlab.core import WeightedSpace
+from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, pointwise_banach_norm
+from maxlab.semigroup import EnsembleSpec, SectorGrid, build_ensemble, random_generator
 from maxlab.spectral import (
+    FAMILY_BLOCK,
     GammaPoleError,
     MuSymmetricOperator,
-    apply_spectral_function,
-    apply_spectral_function_columns,
+    apply_multiplier,
     complex_gamma,
     decompose,
+    family_sup,
     gamma_values,
     operator_norm,
     operator_norm_lower_bound,
@@ -41,6 +43,20 @@ def test_operator_rejects_non_symmetric():
         MuSymmetricOperator(sp, np.array([[0.0, np.inf], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         MuSymmetricOperator(sp, np.eye(3))
+
+
+def test_mu_symmetry_check_scales_with_the_operator():
+    rng = np.random.default_rng(150)
+    sp, a = random_mu_symmetric(rng, 6)
+    for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        # rounding leaves a skew near 1e-16 * c in D A, far above 1e-10 at c = 1e8
+        MuSymmetricOperator(sp, c * a)
+    # a relative skew of 1e-6 is still an asymmetry at every scale
+    for c in (1.0, 1e8):
+        bad = c * a
+        bad[0, 1] += 1e-6 * np.abs(sp.mu[:, None] * bad).max() / sp.mu[0]
+        with pytest.raises(ValueError):
+            MuSymmetricOperator(sp, bad)
 
 
 def test_eigenvalues_match_dense_solver():
@@ -97,24 +113,29 @@ def test_kernel_eigenvalue_is_snapped_exactly():
     assert dec.eigenvalues[1] == pytest.approx(2.0, rel=1e-14)
 
 
-def test_apply_spectral_function_identity_and_exp():
+def test_apply_multiplier_identity_and_square():
     rng = np.random.default_rng(400)
     sp, a = random_mu_symmetric(rng, 7)
     op = MuSymmetricOperator(sp, a)
     dec = decompose(op)
     f = rng.standard_normal(7)
-    np.testing.assert_allclose(apply_spectral_function(dec, lambda lam: lam, f), a @ f,
-                               atol=1e-12)
+    np.testing.assert_allclose(apply_multiplier(dec, dec.eigenvalues, f), a @ f, atol=1e-12)
     # polynomial check: g(lam) = lam^2 equals A(Af)
-    np.testing.assert_allclose(apply_spectral_function(dec, lambda lam: lam * lam, f),
-                               a @ (a @ f), atol=1e-11)
+    np.testing.assert_allclose(apply_multiplier(dec, dec.eigenvalues**2, f), a @ (a @ f),
+                               atol=1e-11)
 
 
-def test_apply_spectral_function_rejects_nonfinite_multiplier():
+def test_apply_multiplier_rejects_nonfinite_multiplier():
     sp = WeightedSpace(np.array([1.0, 1.0]))
     dec = decompose(MuSymmetricOperator(sp, np.array([[1.0, -1.0], [-1.0, 1.0]])))
-    with np.errstate(divide="ignore"), pytest.raises(ValueError):
-        apply_spectral_function(dec, lambda lam: 1.0 / lam, np.array([1.0, 2.0]))
+    with np.errstate(divide="ignore"):
+        gvals = 1.0 / dec.eigenvalues
+    with pytest.raises(ValueError):
+        apply_multiplier(dec, gvals, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        apply_multiplier(dec, np.ones(3), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        apply_multiplier(dec, np.ones(2), np.ones(3))
 
 
 def test_columnwise_application_matches_scalar():
@@ -123,10 +144,81 @@ def test_columnwise_application_matches_scalar():
     dec = decompose(MuSymmetricOperator(sp, a))
     cols = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     gvals = np.exp(-0.3 * dec.eigenvalues)
-    got = apply_spectral_function_columns(dec, gvals, cols)
+    got = apply_multiplier(dec, gvals, cols)
+    matrix = spectral_matrix(dec, gvals)
     for j in range(4):
-        want = apply_spectral_function(dec, lambda lam: math.exp(-0.3 * lam), cols[:, j])
-        np.testing.assert_allclose(got[:, j], want, atol=1e-12)
+        np.testing.assert_allclose(got[:, j], apply_multiplier(dec, gvals, cols[:, j]),
+                                   atol=1e-12)
+        np.testing.assert_allclose(got[:, j], matrix @ cols[:, j], atol=1e-12)
+    # a family of rows gives one field per row, each equal to its own application
+    family = np.exp(-np.outer([0.1, 0.3, 2.0], dec.eigenvalues))
+    stacked = apply_multiplier(dec, family, cols)
+    assert stacked.shape == (3, 6, 4)
+    for k in range(3):
+        np.testing.assert_allclose(stacked[k], apply_multiplier(dec, family[k], cols),
+                                   atol=1e-12)
+
+
+def _reference_family_sup(dec, gvals, values, r):
+    """The per-node loop the kernel replaced: one Bochner field per row."""
+    scalar = values.ndim == 1
+    cols = values[:, None] if scalar else values
+    field = BochnerField(cols, BanachNormDescriptor(cols.shape[1], 2.0 if scalar else r))
+    coeff = dec.eigenvectors.T @ (dec.space.mu[:, None] * field.values)
+    best = np.zeros(dec.n)
+    for g in gvals:
+        out = dec.eigenvectors @ (g[:, None] * coeff)
+        norm = np.abs(out[:, 0]) if scalar else pointwise_banach_norm(field.replace_values(out))
+        best = np.maximum(best, norm)
+    return best
+
+
+def _families(dec, count, rng):
+    """Sector rows exp(-z lambda), random rows, and rows growing with k (the last one wins)."""
+    nodes = SectorGrid.default(0.3).points()[:count]
+    shape = (count, dec.n)
+    base = rng.standard_normal(dec.n) + 1j * rng.standard_normal(dec.n)
+    return (np.exp(np.multiply.outer(-nodes, dec.eigenvalues)),
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            np.multiply.outer(np.arange(1.0, count + 1.0), base))
+
+
+@pytest.mark.parametrize("n", [2, 8, 48])
+def test_family_sup_matches_per_node_loop(n):
+    rng = np.random.default_rng(1100 + n)
+    gens = [random_generator(n, 1200 + n, kind="contraction"),
+            build_ensemble(EnsembleSpec(n=n, count=1, kind="identity"), 1300 + n)[0][1]]
+    assert np.all(gens[1].decomposition.eigenvalues == 0.0)
+    for gen in gens:
+        dec = gen.decomposition
+        for count in (1, FAMILY_BLOCK - 1, FAMILY_BLOCK, FAMILY_BLOCK + 1, 216):
+            for gvals in _families(dec, count, rng):
+                assert gvals.shape == (count, n)
+                scalar = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                want = _reference_family_sup(dec, gvals, scalar, None)
+                np.testing.assert_allclose(family_sup(dec, gvals, scalar, None), want,
+                                           rtol=1e-14, atol=0.0)
+                for d in (1, 4, 16):
+                    values = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+                    for r in (2.0, 4.0):
+                        want = _reference_family_sup(dec, gvals, values, r)
+                        np.testing.assert_allclose(family_sup(dec, gvals, values, r), want,
+                                                   rtol=1e-14, atol=0.0)
+
+
+def test_family_sup_rejects_nonfinite_rows():
+    gen = random_generator(4, 1400)
+    gvals = np.ones((FAMILY_BLOCK + 5, 4), dtype=complex)
+    gvals[FAMILY_BLOCK + 2, 1] = np.nan
+    with pytest.raises(ValueError):
+        family_sup(gen.decomposition, gvals, np.ones(4), None)
+    gvals[FAMILY_BLOCK + 2, 1] = np.inf
+    with pytest.raises(ValueError):
+        family_sup(gen.decomposition, gvals, np.ones((4, 2)), 2.0)
+    # one row is a family of one
+    f = np.arange(4.0) + 1j
+    np.testing.assert_array_equal(family_sup(gen.decomposition, np.full(4, 0.5), f, None),
+                                  np.abs(apply_multiplier(gen.decomposition, np.full(4, 0.5), f)))
 
 
 # Gamma values frozen from a 30-digit multiprecision evaluation.
