@@ -37,6 +37,7 @@ from .semigroup import (
     exemplar_contraction_generator,
     imaginary_power,
     random_generator,
+    sector_angles,
     sector_contraction_probe,
     semigroup_matrix,
     stein_angle,
@@ -69,6 +70,7 @@ from .mellin import (
     maximal_theorem_experiment,
     mellin_reconstruct,
     n_hat,
+    n_hat_table,
     pointwise_convergence_profile,
     sector_maximal,
     truncation_bound,
@@ -83,13 +85,13 @@ __all__ = [
     "operator_norm_lower_bound", "spectral_matrix",
     "ContractionSemigroupGenerator", "DiffusionGenerator", "EnsembleSpec",
     "SectorGrid", "build_ensemble", "evolve", "exemplar_contraction_generator",
-    "imaginary_power", "random_generator", "sector_contraction_probe",
+    "imaginary_power", "random_generator", "sector_angles", "sector_contraction_probe",
     "semigroup_matrix", "stein_angle", "verify_contraction_property",
     "ModulusResult", "Subdivision", "linear_modulus", "modulus_generator",
     "modulus_semigroup", "phi", "subpositivity_suite", "verify_domination",
     "ergodic_average", "hds_bound", "hds_experiment", "maximal_ergodic",
     "BipPlan", "BipPlanError", "bip_plan", "decay_constant",
     "decomposition_residual", "imaginary_power_estimate", "m_theta",
-    "maximal_theorem_experiment", "mellin_reconstruct", "n_hat",
+    "maximal_theorem_experiment", "mellin_reconstruct", "n_hat", "n_hat_table",
     "pointwise_convergence_profile", "sector_maximal", "truncation_bound",
 ]

@@ -49,7 +49,7 @@ from .mellin import (
     maximal_theorem_experiment,
     mellin_reconstruct,
     m_theta,
-    n_hat,
+    n_hat_table,
     pointwise_convergence_profile,
 )
 from .modulus import (
@@ -64,6 +64,7 @@ from .semigroup import (
     exemplar_contraction_generator,
     imaginary_power,
     random_generator,
+    sector_angles,
     sector_contraction_probe,
     semigroup_matrix,
     stein_angle,
@@ -71,7 +72,7 @@ from .semigroup import (
 )
 from .spectral import complex_gamma
 
-__all__ = ["ExperimentConfig", "ConfigError", "run", "full_suite", "main",
+__all__ = ["ExperimentConfig", "ConfigError", "run", "main",
            "COMMANDS", "DEFAULT_SEED", "ACCEPTANCE_CRITERIA"]
 
 COMMANDS = (
@@ -116,6 +117,9 @@ _COMMAND_DEFAULTS = {
     "bip-plan": {"exponents": {"p": [4.0], "r": 4.0}, "angles": {"psi": 0.1 * math.pi}},
     "full-suite": {},
 }
+
+# The only config keys the fixed full-suite battery reads.
+_FULL_SUITE_KEYS = ("seed", "output")
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -165,18 +169,15 @@ class ExperimentConfig:
         merged = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS[command])
         for source in (document or {}, overrides or {}):
             _require_keys("config", source, tuple(_BASE_DEFAULTS))
-            ignored = sorted(set(source) - {"seed", "output"})
+            ignored = sorted(set(source) - set(_FULL_SUITE_KEYS))
             if command == "full-suite" and ignored:
                 raise ConfigError(f"full-suite runs a fixed battery and takes only seed and "
                                   f"output; it would ignore: {', '.join(ignored)}")
             merged = _deep_merge(merged, source)
 
-        _require_keys("ensemble", merged["ensemble"], ("n", "count", "kind", "c"))
-        _require_keys("exponents", merged["exponents"], ("p", "r", "d"))
-        _require_keys("angles", merged["angles"], ("psi", "theta"))
-        _require_keys("grids", merged["grids"],
-                      ("t_min", "t_max", "n_radii", "n_angles", "U", "h"))
-        _require_keys("tolerances", merged["tolerances"], ("abs_tol", "quad_tol", "stab_tol"))
+        for section, defaults in _BASE_DEFAULTS.items():
+            if isinstance(defaults, dict):
+                _require_keys(section, merged[section], tuple(defaults))
 
         try:
             seed = int(merged["seed"])
@@ -248,8 +249,8 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
 
     def document(self) -> dict:
-        """Config echo for the manifest."""
-        return {
+        """Config echo for the manifest: the keys the command reads."""
+        echo = {
             "command": self.command,
             "seed": self.seed,
             "trials": self.trials,
@@ -263,6 +264,9 @@ class ExperimentConfig:
                            "stab_tol": self.tol.stab_tol},
             "output": self.output,
         }
+        if self.command == "full-suite":
+            return {key: echo[key] for key in ("command",) + _FULL_SUITE_KEYS}
+        return echo
 
     def sector_grid(self) -> SectorGrid:
         return SectorGrid.default(self.psi, t_min=self.t_min, t_max=self.t_max,
@@ -362,16 +366,8 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
 
 
 def _cmd_modulus(config: ExperimentConfig):
-    passed = True
-
-    exemplar = exemplar_contraction_generator()
-    t_star = 0.5 * math.log(2.0)
-    result = modulus_semigroup(exemplar, t_star, tol=config.tol.stab_tol)
-    expected = np.array([[0.75, 0.25], [0.25, 0.75]])
-    exemplar_err = float(np.abs(result.S_t - expected).max())
-    double = modulus_semigroup(exemplar, 2.0 * t_star, tol=config.tol.stab_tol)
-    deviation = float(np.abs(double.S_t - result.S_t @ result.S_t).max())
-    passed = passed and exemplar_err <= 1e-8 and deviation < 1e-6
+    t_star, result, exemplar_err, deviation = _modulus_exemplar(config.tol.stab_tol)
+    passed = exemplar_err <= 1e-8 and deviation < 1e-6
     exemplar_rows = [(t_star, exemplar_err, deviation, result.depth, result.residual)]
 
     members = build_ensemble(config.ensemble, config.seed)
@@ -420,27 +416,14 @@ def _cmd_hds(config: ExperimentConfig):
 def _cmd_mellin_table(config: ExperimentConfig):
     u_grid = np.linspace(-config.quad_U, config.quad_U, 801)
     certificate = decay_constant(config.psi, u_grid=u_grid, n_theta=config.n_angles)
-    thetas = np.linspace(-config.psi, config.psi, config.n_angles) if config.psi > 0 \
-        else np.zeros(1)
-    multiplier_rows = []
-    for theta in thetas:
-        for u in u_grid:
-            value = n_hat(theta, u)
-            weight = math.exp((math.pi / 2.0 - abs(theta)) * abs(u))
-            multiplier_rows.append((float(theta), float(u), value.real, value.imag,
-                                    abs(value) * weight))
+    thetas = sector_angles(config.psi, config.n_angles)
+    values, ratios = n_hat_table(thetas, u_grid)
+    theta_col, u_col = np.meshgrid(thetas, u_grid, indexing="ij")
+    multiplier_rows = list(zip(theta_col.ravel(), u_col.ravel(), values.real.ravel(),
+                               values.imag.ravel(), ratios.ravel()))
 
-    recon_thetas = [t for t in (0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0,
-                                -math.pi / 4.0) if abs(t) <= config.psi + 1e-15]
-    lams = np.geomspace(1e-2, 1e2, 25)
-    recon_rows = []
-    max_err = 0.0
-    for theta in recon_thetas:
-        for lam in lams:
-            approx = mellin_reconstruct(theta, float(lam), U=config.quad_U, h=config.quad_h)
-            err = abs(approx - m_theta(theta, float(lam)))
-            max_err = max(max_err, err)
-            recon_rows.append((theta, float(lam), err))
+    recon_rows = _reconstruction_rows(config.quad_U, config.quad_h, config.psi)
+    max_err = max(err for _, _, err in recon_rows)
     passed = bool(certificate.stable and max_err <= config.tol.quad_tol)
     details = {"decay_constant": certificate.constant,
                "decay_refined": certificate.refined_constant,
@@ -471,15 +454,12 @@ def _cmd_maximal(config: ExperimentConfig):
 
 def _cmd_pointwise(config: ExperimentConfig):
     members = build_ensemble(config.ensemble, config.seed)
-    descriptor = BanachNormDescriptor(config.d_list[0], config.r)
     profile_rows = []
     slope_rows = []
     passed = True
     for index, (member_seed, gen) in enumerate(members):
         rng = np.random.default_rng(member_seed + 17)
-        values = rng.standard_normal((gen.n, descriptor.d)) \
-            + 1j * rng.standard_normal((gen.n, descriptor.d))
-        field = BochnerField(values, descriptor)
+        field = _random_bochner(rng, gen.n, config.d_list[0], config.r)
         profile = pointwise_convergence_profile(gen, field, config.psi,
                                                 n_angles=config.n_angles)
         in_range = bool(0.8 <= profile.slope <= 1.2)
@@ -595,16 +575,17 @@ def criterion_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
+def _reconstruction_rows(U: float, h: float, psi: float = math.pi / 4.0) -> list:
+    """(theta, lambda, |quadrature - m_theta|) on 25 log-lambda x the thetas within psi."""
+    thetas = [t for t in (0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0, -math.pi / 4.0)
+              if abs(t) <= psi + 1e-15]
+    lams = [float(lam) for lam in np.geomspace(1e-2, 1e2, 25)]
+    return [(theta, lam, abs(mellin_reconstruct(theta, lam, U=U, h=h) - m_theta(theta, lam)))
+            for theta in thetas for lam in lams]
+
+
 def _reconstruction_max_error(U: float, h: float) -> float:
-    lams = np.geomspace(1e-2, 1e2, 25)
-    thetas = (0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0, -math.pi / 4.0)
-    worst = 0.0
-    for theta in thetas:
-        for lam in lams:
-            err = abs(mellin_reconstruct(theta, float(lam), U=U, h=h)
-                      - m_theta(theta, float(lam)))
-            worst = max(worst, err)
-    return worst
+    return max(err for _, _, err in _reconstruction_rows(U, h))
 
 
 def criterion_mellin(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -657,15 +638,22 @@ def criterion_decay(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
-def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Exemplar modulus matrix, 500-trial domination, semigroup deviation."""
+def _modulus_exemplar(tol: float | None = None) -> tuple:
+    """The 2x2 exemplar at t* = log(2)/2: (t*, its ModulusResult, the max error against
+    [[3/4, 1/4], [1/4, 3/4]], the max deviation |S_{2t*} - S_{t*}^2|)."""
     gen = exemplar_contraction_generator()
     t_star = 0.5 * math.log(2.0)
-    result = modulus_semigroup(gen, t_star)
+    result = modulus_semigroup(gen, t_star, tol=tol)
     expected = np.array([[0.75, 0.25], [0.25, 0.75]])
     exemplar_err = float(np.abs(result.S_t - expected).max())
-    double = modulus_semigroup(gen, 2.0 * t_star)
+    double = modulus_semigroup(gen, 2.0 * t_star, tol=tol)
     deviation = float(np.abs(double.S_t - result.S_t @ result.S_t).max())
+    return t_star, result, exemplar_err, deviation
+
+
+def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
+    """Exemplar modulus matrix, 500-trial domination, semigroup deviation."""
+    _, _, exemplar_err, deviation = _modulus_exemplar()
 
     rows = []
     worst_violation = -math.inf
@@ -868,13 +856,13 @@ ACCEPTANCE_CRITERIA = (
 )
 
 
-def _battery(seed: int) -> tuple[dict, dict]:
-    """Run the twelve criteria; returns the summary document and all criterion tables."""
-    summary = {"seed": seed, "criteria": {}, "passed": True}
+def _cmd_full_suite(config: ExperimentConfig):
+    """Run the twelve criteria; the summary (with per-criterion timings) goes to summary.json."""
+    summary = {"seed": config.seed, "criteria": {}, "passed": True}
     tables = {}
     for index, criterion in enumerate(ACCEPTANCE_CRITERIA, start=1):
         started = time.perf_counter()
-        result = criterion(seed)
+        result = criterion(config.seed)
         elapsed = time.perf_counter() - started
         summary["criteria"][f"{index:02d}_{result.name}"] = {
             "passed": result.passed,
@@ -883,27 +871,6 @@ def _battery(seed: int) -> tuple[dict, dict]:
         }
         summary["passed"] = summary["passed"] and result.passed
         tables.update(result.tables)
-    return summary, tables
-
-
-def full_suite(seed: int = DEFAULT_SEED, output: str | None = None) -> dict:
-    """Run the acceptance battery; returns the summary document.
-
-    When ``output`` is given, every criterion table is written as
-    ``<output>.<table>.csv`` and the summary as ``<output>.summary.json``
-    (with timings; the CSV bodies themselves are timing-free and
-    deterministic).
-    """
-    summary, tables = _battery(seed)
-    if output is not None:
-        for name, table in tables.items():
-            _write_text(f"{output}.{name}.csv", _table_text(*table))
-        _write_text(f"{output}.summary.json", _json_text(summary))
-    return summary
-
-
-def _cmd_full_suite(config: ExperimentConfig):
-    summary, tables = _battery(config.seed)
     print(_write_text(f"{config.output}.summary.json", _json_text(summary)))
     details = {name: entry["passed"] for name, entry in summary["criteria"].items()}
     return summary["passed"], details, tables
@@ -936,6 +903,24 @@ def run(config: ExperimentConfig) -> int:
     return 0 if passed else 1
 
 
+# Override flags: (flag, dotted config path, argparse keywords), in --help order.
+_OVERRIDE_FLAGS = (
+    ("seed", "seed", {"type": int, "help": "override the base seed"}),
+    ("trials", "trials", {"type": int, "help": "override per-member trial count"}),
+    ("psi", "angles.psi", {"type": float, "help": "override the sector half-angle"}),
+    ("theta", "angles.theta", {"type": float, "help": "override the interpolation weight"}),
+    ("out", "output", {"help": "override the output path prefix"}),
+    ("n", "ensemble.n", {"type": int, "help": "override the ensemble dimension"}),
+    ("count", "ensemble.count", {"type": int, "help": "override the ensemble size"}),
+    ("kind", "ensemble.kind", {"choices": ("diffusion", "contraction", "identity"),
+                               "help": "override the ensemble kind"}),
+    ("c", "ensemble.c", {"type": float, "help": "override the ensemble rate scale"}),
+    ("p", "exponents.p", {"type": float, "action": "append",
+                          "help": "override the exponent list (repeatable)"}),
+    ("r", "exponents.r", {"type": float, "help": "override the fiber exponent"}),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxlab",
@@ -944,51 +929,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="path to a JSON config document")
-    parser.add_argument("--seed", type=int, help="override the base seed")
-    parser.add_argument("--trials", type=int, help="override per-member trial count")
-    parser.add_argument("--psi", type=float, help="override the sector half-angle")
-    parser.add_argument("--theta", type=float, help="override the interpolation weight")
-    parser.add_argument("--out", help="override the output path prefix")
-    parser.add_argument("--n", type=int, help="override the ensemble dimension")
-    parser.add_argument("--count", type=int, help="override the ensemble size")
-    parser.add_argument("--kind", choices=("diffusion", "contraction", "identity"),
-                        help="override the ensemble kind")
-    parser.add_argument("--c", type=float, help="override the ensemble rate scale")
-    parser.add_argument("--p", type=float, action="append",
-                        help="override the exponent list (repeatable)")
-    parser.add_argument("--r", type=float, help="override the fiber exponent")
+    for flag, _, keywords in _OVERRIDE_FLAGS:
+        parser.add_argument(f"--{flag}", **keywords)
     return parser
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.out is not None:
-        overrides["output"] = args.out
-    angles = {}
-    if args.psi is not None:
-        angles["psi"] = args.psi
-    if args.theta is not None:
-        angles["theta"] = args.theta
-    if angles:
-        overrides["angles"] = angles
-    ensemble = {}
-    for key in ("n", "count", "kind", "c"):
-        value = getattr(args, key)
+    for flag, path, _ in _OVERRIDE_FLAGS:
+        value = getattr(args, flag)
         if value is not None:
-            ensemble[key] = value
-    if ensemble:
-        overrides["ensemble"] = ensemble
-    exponents = {}
-    if args.p is not None:
-        exponents["p"] = args.p
-    if args.r is not None:
-        exponents["r"] = args.r
-    if exponents:
-        overrides["exponents"] = exponents
+            section, _, key = path.rpartition(".")
+            (overrides.setdefault(section, {}) if section else overrides)[key] = value
     return overrides
 
 

@@ -37,6 +37,7 @@ from .semigroup import (
     build_ensemble,
     evolve,
     imaginary_power_matrix,
+    sector_angles,
     stein_angle,
 )
 from .spectral import (
@@ -56,6 +57,7 @@ __all__ = [
     "MaximalReport",
     "m_theta",
     "n_hat",
+    "n_hat_table",
     "decay_constant",
     "apply_m_theta",
     "m_theta_maximal",
@@ -138,14 +140,15 @@ class BipEstimate:
     omega: float
 
 
-def _m_theta_values(theta: float, lam: np.ndarray) -> np.ndarray:
-    """Vectorised m_theta on a nonnegative spectrum; the value at 0 is 0."""
-    lam = np.asarray(lam, dtype=float)
+def _m_theta_values(theta, lam) -> np.ndarray:
+    """Vectorised m_theta on a nonnegative spectrum (0 at 0); theta and lam broadcast."""
+    theta = np.asarray(theta, dtype=float)
+    phase, lam = np.broadcast_arrays(np.cos(theta) + 1j * np.sin(theta),
+                                     np.asarray(lam, dtype=float))
     out = np.zeros(lam.shape, dtype=complex)
     nz = lam > 0.0
     lnz = lam[nz]
-    phase = complex(math.cos(theta), math.sin(theta))
-    out[nz] = np.exp(-phase * lnz) + np.expm1(-lnz) / lnz
+    out[nz] = np.exp(-phase[nz] * lnz) + np.expm1(-lnz) / lnz
     return out
 
 
@@ -187,6 +190,17 @@ def n_hat(theta: float, u: float) -> complex:
     return complex(_n_hat_values(float(theta), np.asarray([float(u)]))[0])
 
 
+def n_hat_table(thetas, us) -> tuple[np.ndarray, np.ndarray]:
+    """n_hat_theta(u) and its ratio to e^{(|theta|-pi/2)|u|}, each (len(thetas), len(us)).
+
+    The largest ratio is the decay constant on the grid."""
+    thetas = np.asarray(thetas, dtype=float)
+    us = np.asarray(us, dtype=float)
+    values = np.array([_n_hat_values(theta, us) for theta in thetas])
+    ratios = np.abs(values) * np.exp(np.multiply.outer(math.pi / 2.0 - np.abs(thetas), np.abs(us)))
+    return values, ratios
+
+
 def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificate:
     """Empirical constant C with |n_hat_theta(u)| <= C e^{(|theta|-pi/2)|u|}.
 
@@ -205,25 +219,14 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
     if n_theta < 1:
         raise ValueError("need at least one theta sample")
 
-    def scan(us: np.ndarray, thetas: np.ndarray) -> float:
-        best = 0.0
-        for theta in thetas:
-            weights = np.exp((math.pi / 2.0 - abs(theta)) * np.abs(us))
-            best = max(best, float((np.abs(_n_hat_values(theta, us)) * weights).max()))
-        return best
-
-    def theta_grid(count: int) -> np.ndarray:
-        if psi == 0.0:
-            return np.zeros(1)
-        return np.linspace(-psi, psi, count)
-
     def refine(grid: np.ndarray) -> np.ndarray:
         if grid.size == 1:
             return grid
         return np.linspace(grid[0], grid[-1], 2 * grid.size - 1)
 
-    coarse = scan(u_grid, theta_grid(n_theta))
-    fine = scan(refine(u_grid), refine(theta_grid(n_theta)))
+    thetas = sector_angles(psi, n_theta)
+    coarse = float(n_hat_table(thetas, u_grid)[1].max())
+    fine = float(n_hat_table(refine(thetas), refine(u_grid))[1].max())
     rel_change = abs(fine - coarse) / max(coarse, fine)
     return DecayCertificate(psi=psi, constant=coarse, refined_constant=fine,
                             rel_change=float(rel_change), stable=bool(rel_change < 0.05))
@@ -249,7 +252,8 @@ def m_theta_maximal(gen, field: BochnerField, grid: SectorGrid) -> np.ndarray:
     """Pointwise sup over (t, theta) grid nodes of |m_theta(t L) F|_B."""
     values, r = field_parts(gen.space, field)
     lam = gen.decomposition.eigenvalues
-    gvals = [_m_theta_values(theta, t * lam) for t in grid.radii for theta in grid.angles]
+    t_lam = np.multiply.outer(grid.radii, lam)[:, None, :]
+    gvals = _m_theta_values(grid.angles[:, None], t_lam).reshape(-1, lam.size)
     return family_sup(gen.decomposition, gvals, values, r)
 
 
@@ -454,10 +458,7 @@ def pointwise_convergence_profile(gen, field: BochnerField, psi: float,
         raise ValueError("radii must be strictly decreasing")
     if field.n != gen.n:
         raise ValueError(f"field has {field.n} points, generator has {gen.n}")
-    if psi == 0.0:
-        angles = np.zeros(1)
-    else:
-        angles = np.linspace(-psi, psi, n_angles)
+    angles = sector_angles(psi, n_angles)
     nodes = np.asarray([rho * complex(math.cos(angle), math.sin(angle))
                         for rho in radii for angle in angles])
     dec = gen.decomposition

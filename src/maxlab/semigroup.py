@@ -41,6 +41,7 @@ __all__ = [
     "ContractionReport",
     "SectorProbeReport",
     "SectorGrid",
+    "sector_angles",
     "EnsembleSpec",
     "DEFAULT_T_GRID",
     "random_generator",
@@ -156,6 +157,11 @@ class SectorProbeReport:
     rows: tuple
 
 
+def sector_angles(psi: float, count: int) -> np.ndarray:
+    """``count`` uniform angles over [-psi, psi]; the single angle 0 when psi = 0."""
+    return np.zeros(1) if psi == 0.0 else np.linspace(-psi, psi, count)
+
+
 @dataclass(frozen=True)
 class SectorGrid:
     """Finite probe grid in the closed sector |arg z| <= psi.
@@ -201,11 +207,7 @@ class SectorGrid:
         if n_radii < 1 or n_angles < 1:
             raise ValueError("need at least one radius and one angle")
         radii = np.geomspace(t_min, t_max, n_radii)
-        if psi == 0.0:
-            angles = np.zeros(1)
-        else:
-            angles = np.linspace(-psi, psi, n_angles)
-        return cls(psi, radii, angles)
+        return cls(psi, radii, sector_angles(psi, n_angles))
 
     def refine(self) -> "SectorGrid":
         """Twice the density, same endpoints; the node set grows monotonically."""

@@ -24,7 +24,7 @@ from maxlab.cli import (
     criterion_planner,
     criterion_pointwise,
     criterion_subpositivity,
-    full_suite,
+    main,
 )
 
 
@@ -95,9 +95,8 @@ def test_acceptance_12_determinism(tmp_path, capfd):
     started = time.perf_counter()
     first_dir = tmp_path / "first"
     second_dir = tmp_path / "second"
-    first = full_suite(DEFAULT_SEED, output=str(first_dir / "suite"))
-    second = full_suite(DEFAULT_SEED, output=str(second_dir / "suite"))
-    assert first["passed"] and second["passed"]
+    assert main(["full-suite", "--out", str(first_dir / "suite")]) == 0
+    assert main(["full-suite", "--out", str(second_dir / "suite")]) == 0
     names = sorted(p.name for p in first_dir.glob("*.csv"))
     assert names == sorted(p.name for p in second_dir.glob("*.csv"))
     assert names, "the suite wrote no tables"

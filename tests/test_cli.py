@@ -1,7 +1,9 @@
 """Tests for config resolution, CSV determinism and the command-line entry point."""
 
+import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from maxlab.cli import (
     DEFAULT_SEED,
     ConfigError,
     ExperimentConfig,
+    _build_parser,
     _format_cell,
+    _overrides_from_args,
     main,
 )
 
@@ -95,6 +99,60 @@ def test_config_preconditions():
     ExperimentConfig.from_sources("hds", document={"angles": {"psi": 0.3 * math.pi}})
 
 
+# Each override flag, a value for it and the overrides it must produce,
+# written out by hand rather than read from the flag table.
+FLAG_CASES = (
+    (["--seed", "7"], {"seed": 7}),
+    (["--trials", "3"], {"trials": 3}),
+    (["--psi", "0.2"], {"angles": {"psi": 0.2}}),
+    (["--theta", "0.6"], {"angles": {"theta": 0.6}}),
+    (["--out", "x/y"], {"output": "x/y"}),
+    (["--n", "5"], {"ensemble": {"n": 5}}),
+    (["--count", "4"], {"ensemble": {"count": 4}}),
+    (["--kind", "contraction"], {"ensemble": {"kind": "contraction"}}),
+    (["--c", "2.5"], {"ensemble": {"c": 2.5}}),
+    (["--p", "3"], {"exponents": {"p": [3.0]}}),
+    (["--r", "1.5"], {"exponents": {"r": 1.5}}),
+)
+
+
+@pytest.mark.parametrize("flag_args,expected", FLAG_CASES, ids=[c[0][0] for c in FLAG_CASES])
+def test_each_flag_sets_its_config_key(flag_args, expected):
+    args = _build_parser().parse_args(["hds"] + flag_args)
+    # JSON text also tells 5 from 5.0
+    assert json.dumps(_overrides_from_args(args)) == json.dumps(expected)
+
+
+def test_flags_combine_and_repeat():
+    argv = ["hds"] + [token for flag_args, _ in FLAG_CASES for token in flag_args]
+    assert _overrides_from_args(_build_parser().parse_args(argv)) == {
+        "seed": 7, "trials": 3, "output": "x/y",
+        "angles": {"psi": 0.2, "theta": 0.6},
+        "ensemble": {"n": 5, "count": 4, "kind": "contraction", "c": 2.5},
+        "exponents": {"p": [3.0], "r": 1.5},
+    }
+    args = _build_parser().parse_args(["hds", "--p", "1.5", "--p", "2", "--p", "3"])
+    assert _overrides_from_args(args) == {"exponents": {"p": [1.5, 2.0, 3.0]}}
+    assert _overrides_from_args(_build_parser().parse_args(["hds"])) == {}
+
+
+def test_bad_flag_value_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hds", "--kind", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_lists_the_flags_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    assert re.findall(r"^  (--?[a-z]+)", options, flags=re.M) == [
+        "-h", "--config", "--seed", "--trials", "--psi", "--theta", "--out", "--n",
+        "--count", "--kind", "--c", "--p", "--r"]
+
+
 def test_cell_formatting():
     assert _format_cell(True) == "true"
     assert _format_cell(np.bool_(False)) == "false"
@@ -126,6 +184,58 @@ def test_main_seed_override_lands_in_manifest(tmp_path):
     assert main(["bip-plan", "--seed", "7", "--out", str(prefix)]) == 0
     manifest = json.loads((tmp_path / "seeded.manifest.json").read_text())
     assert manifest["config"]["seed"] == 7
+
+
+def _csv_bytes(prefix) -> dict:
+    return {path.name.split(".", 1)[1]: path.read_bytes()
+            for path in prefix.parent.glob(prefix.name + ".*.csv")}
+
+
+def _rerun_from_echo(tmp_path, command, extra=()) -> dict:
+    # the manifest's config, minus the command, is a valid --config document
+    first = tmp_path / "first"
+    assert main([command, *extra, "--out", str(first)]) == 0
+    echo = json.loads((tmp_path / "first.manifest.json").read_text())["config"]
+    assert echo.pop("command") == command
+    document = tmp_path / "echo.json"
+    document.write_text(json.dumps(echo))
+    second = tmp_path / "second"
+    assert main([command, "--config", str(document), "--out", str(second)]) == 0
+    assert _csv_bytes(first) and _csv_bytes(first) == _csv_bytes(second)
+    return echo
+
+
+def test_manifest_echo_feeds_back_as_config(tmp_path):
+    echo = _rerun_from_echo(tmp_path, "bip-plan", ["--seed", "5", "--r", "3"])
+    assert echo["seed"] == 5 and echo["exponents"]["r"] == 3.0
+
+
+def test_every_echo_parses_back_to_the_same_config():
+    for command in COMMANDS:
+        echo = ExperimentConfig.from_sources(command).document()
+        document = json.loads(json.dumps(echo))
+        assert document.pop("command") == command
+        assert ExperimentConfig.from_sources(command, document=document).document() == echo
+
+
+def test_full_suite_echo_feeds_back_as_config(tmp_path, monkeypatch):
+    # two fast criteria stand in for the battery; the echo holds only what it reads
+    from maxlab import cli
+
+    monkeypatch.setattr(cli, "ACCEPTANCE_CRITERIA",
+                        (cli.criterion_gamma, cli.criterion_planner))
+    echo = _rerun_from_echo(tmp_path, "full-suite", ["--seed", "7"])
+    assert echo == {"seed": 7, "output": str(tmp_path / "first")}
+
+
+def test_mellin_table_agrees_with_its_certificate(tmp_path):
+    prefix = tmp_path / "mellin"
+    assert main(["mellin-table", "--out", str(prefix)]) == 0
+    manifest = json.loads((tmp_path / "mellin.manifest.json").read_text())
+    with open(tmp_path / "mellin.multiplier.csv", newline="") as handle:
+        ratios = [float(row["bound_ratio"]) for row in csv.DictReader(handle)]
+    assert len(ratios) == 9 * 801
+    assert max(ratios) == manifest["details"]["decay_constant"]
 
 
 def test_main_config_error_paths(tmp_path, capsys):

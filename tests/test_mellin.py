@@ -9,11 +9,12 @@ import pytest
 
 from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, \
     pointwise_banach_norm
-from maxlab.spectral import MuSymmetricOperator
+from maxlab.spectral import MuSymmetricOperator, family_sup
 from maxlab.semigroup import (
     DiffusionGenerator,
     EnsembleSpec,
     SectorGrid,
+    build_ensemble,
     evolve,
     random_generator,
     stein_angle,
@@ -30,6 +31,7 @@ from maxlab.mellin import (
     maximal_theorem_experiment,
     mellin_reconstruct,
     n_hat,
+    n_hat_table,
     pointwise_convergence_profile,
     sector_maximal,
     truncation_bound,
@@ -86,6 +88,28 @@ def test_decay_certificate():
     single = decay_constant(0.0, u_grid=np.array([0.0]), n_theta=1)
     assert single.constant == 1.0
     assert single.rel_change == 0.0
+
+
+def test_n_hat_table_matches_the_scalar_dual():
+    thetas = np.linspace(-0.3 * math.pi, 0.3 * math.pi, 5)
+    us = np.linspace(-12.0, 12.0, 49)
+    values, ratios = n_hat_table(thetas, us)
+    assert values.shape == ratios.shape == (5, 49)
+    for i, theta in enumerate(thetas):
+        for j, u in enumerate(us):
+            expected = n_hat(theta, u)
+            assert values[i, j] == expected
+            weight = math.exp((math.pi / 2.0 - abs(theta)) * abs(u))
+            assert ratios[i, j] == pytest.approx(abs(expected) * weight, rel=1e-14)
+
+
+def test_decay_constant_is_the_largest_table_ratio():
+    # the certificate scans the table it certifies, so the two agree exactly
+    us = np.linspace(-40.0, 40.0, 801)
+    for psi in (0.0, 0.25 * math.pi):
+        cert = decay_constant(psi, u_grid=us, n_theta=9)
+        thetas = np.zeros(1) if psi == 0.0 else np.linspace(-psi, psi, 9)
+        assert cert.constant == n_hat_table(thetas, us)[1].max()
 
 
 def test_decay_constant_validation():
@@ -212,6 +236,50 @@ def test_m_theta_maximal_dominates_grid_nodes():
         for theta in grid.angles:
             node = pointwise_banach_norm(apply_m_theta(gen, theta, t, field))
             assert np.all(node <= best + 1e-12)
+
+
+def _per_node_m_theta_rows(lam, grid):
+    # the oracle: one m_theta row per grid node, radius-major, with the
+    # phase e^{i theta} from the math module
+    rows = []
+    for t in grid.radii:
+        for theta in grid.angles:
+            tl = t * lam
+            row = np.zeros(lam.shape, dtype=complex)
+            nz = tl > 0.0
+            phase = complex(math.cos(theta), math.sin(theta))
+            row[nz] = np.exp(-phase * tl[nz]) + np.expm1(-tl[nz]) / tl[nz]
+            rows.append(row)
+    return np.array(rows)
+
+
+ORACLE_GRIDS = {
+    "psi=0": SectorGrid.default(0.0),
+    "psi=0.1pi": SectorGrid.default(0.1 * math.pi),
+    # angles not symmetric about 0, so a conjugated phase would show
+    "lopsided": SectorGrid(0.1 * math.pi, np.geomspace(1e-2, 1e1, 5),
+                           np.array([-0.1 * math.pi, 0.02, 0.05])),
+}
+
+
+@pytest.mark.parametrize("n", [2, 8, 48])
+@pytest.mark.parametrize("grid_name", list(ORACLE_GRIDS))
+@pytest.mark.parametrize("kind", ["diffusion", "identity"])
+def test_m_theta_maximal_matches_the_per_node_rows(n, grid_name, kind):
+    gen = build_ensemble(EnsembleSpec(n=n, count=1, kind=kind), 1400 + n)[0][1]
+    grid = ORACLE_GRIDS[grid_name]
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    field = BochnerField(values, BanachNormDescriptor(3, 4.0))
+    rows = _per_node_m_theta_rows(gen.decomposition.eigenvalues, grid)
+    assert rows.shape == (grid.radii.size * grid.angles.size, n)
+    best = m_theta_maximal(gen, field, grid)
+    assert np.array_equal(best, family_sup(gen.decomposition, rows, values, 4.0))
+    if kind == "identity":
+        # the spectrum is all zero, where m_theta vanishes
+        assert not np.any(rows) and not np.any(best)
+    for theta in (0.0, 0.3, -1.2):
+        assert m_theta(theta, 0.0) == 0
 
 
 def test_bip_plan_reference_points():

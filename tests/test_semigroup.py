@@ -19,6 +19,7 @@ from maxlab.semigroup import (
     imaginary_power,
     imaginary_power_matrix,
     random_generator,
+    sector_angles,
     sector_contraction_probe,
     semigroup_matrix,
     stein_angle,
@@ -195,6 +196,14 @@ def test_sector_grid_structure():
         assert np.min(np.abs(fine.radii - r)) <= 1e-12 * r
     zero = SectorGrid.default(0.0)
     assert zero.angles.size == 1 and zero.angles[0] == 0.0
+
+
+def test_sector_angles_match_the_inline_expression():
+    # the inline angle ladder that sector grids, the decay certificate, the
+    # pointwise profile and mellin-table rely on
+    for psi, count in ((0.0, 9), (0.0, 1), (0.1 * math.pi, 9), (0.25 * math.pi, 17), (0.3, 1)):
+        old = np.zeros(1) if psi == 0.0 else np.linspace(-psi, psi, count)
+        assert np.array_equal(sector_angles(psi, count), old)
 
 
 def test_sector_grid_validation():
