@@ -133,6 +133,8 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 
 def _require_keys(section: str, given: dict, allowed: tuple) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {given!r}")
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {section} keys: {', '.join(unknown)} "
@@ -579,9 +581,10 @@ def _reconstruction_rows(U: float, h: float, psi: float = math.pi / 4.0) -> list
     """(theta, lambda, |quadrature - m_theta|) on 25 log-lambda x the thetas within psi."""
     thetas = [t for t in (0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0, -math.pi / 4.0)
               if abs(t) <= psi + 1e-15]
-    lams = [float(lam) for lam in np.geomspace(1e-2, 1e2, 25)]
-    return [(theta, lam, abs(mellin_reconstruct(theta, lam, U=U, h=h) - m_theta(theta, lam)))
-            for theta in thetas for lam in lams]
+    lams = np.geomspace(1e-2, 1e2, 25)
+    return [(theta, float(lam), abs(complex(rec) - m_theta(theta, float(lam))))
+            for theta in thetas
+            for lam, rec in zip(lams, mellin_reconstruct(theta, lams, U=U, h=h))]
 
 
 def _reconstruction_max_error(U: float, h: float) -> float:

@@ -257,10 +257,12 @@ def m_theta_maximal(gen, field: BochnerField, grid: SectorGrid) -> np.ndarray:
     return family_sup(gen.decomposition, gvals, values, r)
 
 
-def mellin_reconstruct(theta: float, lam: float, U: float = DEFAULT_QUAD_U,
-                       h: float = DEFAULT_QUAD_H) -> complex:
+def mellin_reconstruct(theta: float, lam, U: float = DEFAULT_QUAD_U,
+                       h: float = DEFAULT_QUAD_H):
     """Trapezoid quadrature of (1/2 pi) integral_{-U}^{U} n_hat(u) lambda^{iu} du.
 
+    ``lam`` is one eigenvalue, giving a complex, or an array of them,
+    giving an array of the same shape; n_hat is sampled once per call.
     Valid only for strictly positive lambda (the kernel is excluded from
     every Mellin representation).  The realised truncation is N h with
     N = round(U/h).
@@ -268,16 +270,21 @@ def mellin_reconstruct(theta: float, lam: float, U: float = DEFAULT_QUAD_U,
     theta = float(theta)
     if abs(theta) >= math.pi / 2.0:
         raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
-    lam = float(lam)
-    if not (lam > 0.0):
+    lams = np.asarray(lam, dtype=float)
+    if not np.all(lams > 0.0):
         raise ValueError(f"Mellin reconstruction requires lambda > 0, got {lam}")
     if not (h > 0.0 and U > 0.0):
         raise ValueError("quadrature needs U > 0 and h > 0")
     n_half = max(1, int(round(U / h)))
     u = h * np.arange(-n_half, n_half + 1)
-    integrand = _n_hat_values(theta, u) * np.exp(1j * u * math.log(lam))
-    integral = h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-    return complex(integral / (2.0 * math.pi))
+    nhat = _n_hat_values(theta, u)
+    iu = 1j * u
+    out = np.empty(lams.shape, dtype=complex)
+    for index, value in np.ndenumerate(lams):
+        integrand = nhat * np.exp(iu * math.log(value))
+        integral = h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+        out[index] = integral / (2.0 * math.pi)
+    return complex(out) if out.ndim == 0 else out
 
 
 def truncation_bound(theta: float, U: float, constant: float) -> float:

@@ -232,7 +232,6 @@ class EnsembleSpec:
     count: int = 50
     kind: str = "diffusion"
     c: float = 1.0
-    injective: bool = True
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
@@ -250,17 +249,16 @@ class EnsembleSpec:
 _SEED_STRIDE = 1000003
 
 
-def random_generator(n: int, seed, kind: str = "diffusion", c: float = 1.0,
-                     injective: bool = True):
+def random_generator(n: int, seed, kind: str = "diffusion", c: float = 1.0):
     """Draw a seeded generator on a random weighted space.
 
     The masses are uniform in [0.5, 2], the kernel is a symmetric uniform
     matrix scaled so the largest row sum of P lands in [0.6, 0.95], which
-    keeps the generator injective by construction.  ``kind="contraction"``
-    conjugates the diffusion draw by random signs, producing positive
-    off-diagonal entries while preserving every endpoint norm.  If a
-    kernel is detected and ``injective`` is requested, the floor
-    ``L + 1e-3 I`` is applied.
+    keeps the spectrum inside [0.05 c, 1.95 c], so the generator is
+    injective by construction.  ``kind="contraction"`` conjugates the
+    diffusion matrix by random signs, with both signs present, producing
+    positive off-diagonal entries while preserving every endpoint norm.
+    Either way the draw is built, validated and decomposed once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -277,20 +275,12 @@ def random_generator(n: int, seed, kind: str = "diffusion", c: float = 1.0,
     target = rng.uniform(0.6, 0.95)
     p *= target / p.sum(axis=1).max()
     ell = c * (np.eye(n) - p)
-
-    signs = None
-    if kind == "contraction" and n >= 2:
-        signs = rng.choice(np.array([-1.0, 1.0]), size=n)
-        if np.all(signs == signs[0]):
-            signs[int(rng.integers(n))] *= -1.0
-
-    gen = DiffusionGenerator(MuSymmetricOperator(space, ell))
-    if injective and not gen.injective:
-        ell = ell + 1e-3 * np.eye(n)
-        gen = DiffusionGenerator(MuSymmetricOperator(space, ell))
-    if signs is None:
-        return gen
-    flipped = signs[:, None] * gen.matrix * signs[None, :]
+    if kind == "diffusion" or n == 1:
+        return DiffusionGenerator(MuSymmetricOperator(space, ell))
+    signs = rng.choice(np.array([-1.0, 1.0]), size=n)
+    if np.all(signs == signs[0]):
+        signs[int(rng.integers(n))] *= -1.0
+    flipped = signs[:, None] * ell * signs[None, :]
     return ContractionSemigroupGenerator(MuSymmetricOperator(space, flipped))
 
 
@@ -304,8 +294,7 @@ def build_ensemble(spec: EnsembleSpec, seed: int) -> list:
             space = WeightedSpace(rng.uniform(0.5, 2.0, spec.n))
             gen = DiffusionGenerator(MuSymmetricOperator(space, np.zeros((spec.n, spec.n))))
         else:
-            gen = random_generator(spec.n, member_seed, kind=spec.kind, c=spec.c,
-                                   injective=spec.injective)
+            gen = random_generator(spec.n, member_seed, kind=spec.kind, c=spec.c)
         members.append((member_seed, gen))
     return members
 

@@ -2,7 +2,7 @@
 
 A real matrix A is mu-selfadjoint when ``mu_i A_ij == mu_j A_ji``.
 Conjugating by ``D^(1/2)`` with ``D = diag(mu)`` turns A into an ordinary
-symmetric matrix, which a cyclic Jacobi sweep diagonalises; pulling the
+symmetric matrix, which LAPACK's ``eigh`` diagonalises; pulling the
 eigenvectors back gives a mu-orthonormal eigenbasis.  Every function of
 the operator acting on a field goes through one kernel, apply_multiplier,
 and every maximal function through its pointwise sup, family_sup.
@@ -33,7 +33,6 @@ from .core import (
 __all__ = [
     "MuSymmetricOperator",
     "SpectralDecomposition",
-    "JacobiConvergenceError",
     "GammaPoleError",
     "decompose",
     "apply_multiplier",
@@ -51,19 +50,10 @@ __all__ = [
 # for ergodic averages) fire deterministically.
 KERNEL_SNAP_REL = 1e-12
 
-# Jacobi termination: off-diagonal Frobenius mass below this multiple of
-# the initial Frobenius norm counts as diagonal.
-JACOBI_REL_THRESHOLD = 1e-13
-JACOBI_SWEEP_CAP = 100
-
 # Multiplier rows applied at a time by family_sup.  A block holds
 # (32, n, d) complex values; one block for all 216 sector nodes raised the
 # peak RSS of `maxlab maximal --n 48` by 18%, 32-row blocks by 5%.
 FAMILY_BLOCK = 32
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to reach the off-diagonal threshold within the sweep cap."""
 
 
 class GammaPoleError(ValueError):
@@ -114,79 +104,18 @@ class SpectralDecomposition:
         return self.space.n
 
 
-def _jacobi_eigh(m: np.ndarray, sweep_cap: int = JACOBI_SWEEP_CAP,
-                 rel_threshold: float = JACOBI_REL_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalisation of a symmetric matrix.
-
-    Sweeps the strict upper triangle row by row, zeroing each pivot with
-    a Givens rotation, until the off-diagonal Frobenius mass drops below
-    ``rel_threshold`` times the initial Frobenius norm.
-    """
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), v
-    threshold = rel_threshold * fro
-
-    def off_norm() -> float:
-        off = a - np.diag(a.diagonal())
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(sweep_cap):
-        if off_norm() <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns, then rows, of the congruence J^T A J
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    if not converged and off_norm() > threshold:
-        raise JacobiConvergenceError(
-            f"off-diagonal norm {off_norm():.3e} still above {threshold:.3e} after {sweep_cap} sweeps"
-        )
-    return a.diagonal().copy(), v
-
-
 def decompose(op: MuSymmetricOperator) -> SpectralDecomposition:
     """Diagonalise a mu-selfadjoint operator.
 
     The operator is symmetrised by conjugation with ``diag(sqrt(mu))``,
-    run through cyclic Jacobi, and the eigenvectors are pulled back so the
-    columns are mu-orthonormal.  Eigenvalues whose magnitude falls below
+    run through ``np.linalg.eigh``, and the eigenvectors are pulled back so
+    the columns are mu-orthonormal.  Eigenvalues whose magnitude falls below
     ``1e-12 * max|lambda|`` are snapped to exact zero.
     """
     s = np.sqrt(op.space.mu)
     m = (s[:, None] * op.entries) / s[None, :]
     m = 0.5 * (m + m.T)
-    w, vecs = _jacobi_eigh(m)
+    w, vecs = np.linalg.eigh(m)
     order = np.argsort(w, kind="stable")
     w = w[order]
     vecs = vecs[:, order] / s[:, None]

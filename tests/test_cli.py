@@ -238,6 +238,19 @@ def test_mellin_table_agrees_with_its_certificate(tmp_path):
     assert max(ratios) == manifest["details"]["decay_constant"]
 
 
+@pytest.mark.parametrize("document", ['{"ensemble": 3}', '{"grids": null}',
+                                      '{"tolerances": [1e-10]}', '{"angles": "wide"}'])
+def test_non_object_section_is_a_config_error(tmp_path, capsys, document):
+    section = next(iter(json.loads(document)))
+    with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
+        ExperimentConfig.from_sources("hds", document=json.loads(document))
+    path = tmp_path / "section.json"
+    path.write_text(document)
+    assert main(["hds", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert f"error: {section} must be a JSON object" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_main_config_error_paths(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")

@@ -1,0 +1,34 @@
+"""The runtime imports only the standard library, numpy and maxlab itself."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "maxlab").glob("*.py"))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "maxlab"}
+
+
+def _imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_sources_are_found():
+    assert {path.name for path in SOURCES} >= {"__init__.py", "spectral.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_imports_only_stdlib_numpy_and_maxlab(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    foreign = sorted(set(_imported_roots(tree)) - ALLOWED)
+    assert not foreign, f"{path.name} imports {', '.join(foreign)}"
+
+
+def test_check_flags_a_foreign_import():
+    tree = ast.parse("import numpy as np\nfrom scipy.linalg import eigh\nfrom . import core\n")
+    assert set(_imported_roots(tree)) - ALLOWED == {"scipy"}

@@ -141,6 +141,36 @@ def test_mellin_reconstruction_validation():
         mellin_reconstruct(0.0, 1.0, U=-1.0)
 
 
+def _reconstruct_one(nhat, u, h, lam):
+    """The trapezoid sum of one lambda, as mellin_reconstruct computed it per call."""
+    integrand = nhat * np.exp(1j * u * math.log(lam))
+    integral = h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
+    return complex(integral / (2.0 * math.pi))
+
+
+def test_mellin_reconstruct_takes_an_array_of_lambdas(monkeypatch):
+    import maxlab.mellin as mellin
+
+    lams = np.geomspace(1e-2, 1e2, 25).reshape(5, 5)
+    gamma_calls = []
+    gamma_values = mellin.gamma_values
+    monkeypatch.setattr(mellin, "gamma_values", lambda z: gamma_calls.append(z) or gamma_values(z))
+    for theta in (0.0, -math.pi / 8.0, math.pi / 4.0):
+        gamma_calls.clear()
+        got = mellin_reconstruct(theta, lams, U=8.0, h=0.05)
+        assert len(gamma_calls) == 1
+        assert got.shape == (5, 5)
+        # each lambda keeps its own sum, so batching changes no bit
+        u = 0.05 * np.arange(-160, 161)
+        nhat = np.array([n_hat(theta, x) for x in u])
+        want = [_reconstruct_one(nhat, u, 0.05, float(lam)) for lam in lams.ravel()]
+        np.testing.assert_array_equal(got.ravel(), want)
+        assert mellin_reconstruct(theta, float(lams[2, 3]), U=8.0, h=0.05) == got[2, 3]
+    assert type(mellin_reconstruct(0.0, 1.0)) is complex
+    with pytest.raises(ValueError):
+        mellin_reconstruct(0.0, np.array([1.0, 0.0, 2.0]))
+
+
 def test_mellin_step_refinement():
     # aliasing decays like exp(-2 pi / h), so halving h crushes the error
     target = m_theta(0.0, 1.0)

@@ -7,7 +7,12 @@ import pytest
 from scipy.linalg import expm
 
 from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
-from maxlab.spectral import MuSymmetricOperator, operator_norm, operator_norm_lower_bound
+from maxlab.spectral import (
+    MuSymmetricOperator,
+    decompose,
+    operator_norm,
+    operator_norm_lower_bound,
+)
 from maxlab.semigroup import (
     ContractionSemigroupGenerator,
     DiffusionGenerator,
@@ -51,6 +56,51 @@ def test_random_generator_rejects_bad_arguments():
         random_generator(4, 1, kind="markov")
     with pytest.raises(ValueError):
         random_generator(4, 1, c=-2.0)
+
+
+def test_contraction_draw_is_a_sign_conjugate_of_the_diffusion_draw():
+    for n in (2, 3, 8):
+        for seed in range(5):
+            diff = random_generator(n, 100 * n + seed, kind="diffusion")
+            con = random_generator(n, 100 * n + seed, kind="contraction")
+            np.testing.assert_array_equal(con.space.mu, diff.space.mu)
+            # the off-diagonal entries of a diffusion draw are strictly negative
+            signs = np.sign(con.matrix[0] / diff.matrix[0])
+            signs[0] = 1.0
+            assert set(signs) == {-1.0, 1.0}
+            np.testing.assert_array_equal(con.matrix, signs[:, None] * diff.matrix * signs[None, :])
+            assert type(con) is ContractionSemigroupGenerator
+    # one point admits no sign conjugation, so the draw stays a diffusion
+    assert type(random_generator(1, 5, kind="contraction")) is DiffusionGenerator
+
+
+def test_random_generator_decomposes_once_per_draw(monkeypatch):
+    import maxlab.semigroup as semigroup
+
+    calls = []
+    monkeypatch.setattr(semigroup, "decompose", lambda op: calls.append(op) or decompose(op))
+    for kind in ("diffusion", "contraction"):
+        for n in (1, 2, 6):
+            calls.clear()
+            gen = random_generator(n, 40 + n, kind=kind)
+            assert len(calls) == 1
+            assert calls[0] is gen.operator
+            # the draw's decomposition is the cached one
+            assert gen.decomposition.eigenvalues.size == n
+            assert len(calls) == 1
+    calls.clear()
+    build_ensemble(EnsembleSpec(n=4, count=5, kind="contraction"), 3)
+    assert len(calls) == 5
+
+
+def test_spectrum_stays_above_five_percent_of_the_rate():
+    # the largest row sum of P is at most 0.95, so spec(L) lies in [0.05 c, 1.95 c]
+    for c in np.geomspace(1e-8, 1e8, 9):
+        for kind in ("diffusion", "contraction"):
+            for seed in range(4):
+                lam = random_generator(8, 300 + seed, kind=kind, c=float(c)).decomposition.eigenvalues
+                assert lam.min() >= 0.05 * c * (1.0 - 1e-12)
+                assert lam.max() <= 1.95 * c * (1.0 + 1e-12)
 
 
 def test_diffusion_validation_rejects_sign_violations():

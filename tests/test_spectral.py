@@ -1,4 +1,4 @@
-"""Tests for the Jacobi eigensolver, the multiplier kernel and Gamma evaluation."""
+"""Tests for the eigen layer against a Jacobi oracle, the multiplier kernel and Gamma evaluation."""
 
 import math
 
@@ -10,6 +10,7 @@ from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, point
 from maxlab.semigroup import EnsembleSpec, SectorGrid, build_ensemble, random_generator
 from maxlab.spectral import (
     FAMILY_BLOCK,
+    KERNEL_SNAP_REL,
     GammaPoleError,
     MuSymmetricOperator,
     apply_multiplier,
@@ -100,7 +101,7 @@ def test_spectral_reconstruction():
                                    atol=1e-11 * max(1.0, np.abs(a).max()))
 
 
-def test_diagonal_matrix_needs_no_rotations():
+def test_diagonal_matrix_eigenvalues_are_exact():
     sp = WeightedSpace(np.array([1.0, 1.0, 1.0]))
     dec = decompose(MuSymmetricOperator(sp, np.diag([3.0, -1.0, 2.0])))
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 2.0, 3.0], atol=1e-15)
@@ -111,6 +112,164 @@ def test_kernel_eigenvalue_is_snapped_exactly():
     dec = decompose(MuSymmetricOperator(sp, np.array([[1.0, -1.0], [-1.0, 1.0]])))
     assert dec.eigenvalues[0] == 0.0
     assert dec.eigenvalues[1] == pytest.approx(2.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Cyclic Jacobi, the independent route that decompose's LAPACK eigh is
+# checked against.  Jacobi stays accurate on graded and near-kernel spectra
+# (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
+
+# Jacobi termination: off-diagonal Frobenius mass below this multiple of
+# the initial Frobenius norm counts as diagonal.
+JACOBI_REL_THRESHOLD = 1e-13
+JACOBI_SWEEP_CAP = 100
+
+
+class JacobiConvergenceError(RuntimeError):
+    """Cyclic Jacobi failed to reach the off-diagonal threshold within the sweep cap."""
+
+
+def _jacobi_eigh(m: np.ndarray, sweep_cap: int = JACOBI_SWEEP_CAP,
+                 rel_threshold: float = JACOBI_REL_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalisation of a symmetric matrix.
+
+    Sweeps the strict upper triangle row by row, zeroing each pivot with
+    a Givens rotation, until the off-diagonal Frobenius mass drops below
+    ``rel_threshold`` times the initial Frobenius norm.
+    """
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    fro = float(np.linalg.norm(a))
+    if fro == 0.0:
+        return np.zeros(n), v
+    threshold = rel_threshold * fro
+
+    def off_norm() -> float:
+        off = a - np.diag(a.diagonal())
+        return float(np.linalg.norm(off))
+
+    converged = False
+    for _ in range(sweep_cap):
+        if off_norm() <= threshold:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # columns, then rows, of the congruence J^T A J
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vec_p = v[:, p].copy()
+                vec_q = v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    if not converged and off_norm() > threshold:
+        raise JacobiConvergenceError(
+            f"off-diagonal norm {off_norm():.3e} still above {threshold:.3e} after {sweep_cap} sweeps"
+        )
+    return a.diagonal().copy(), v
+
+
+def _jacobi_oracle(op):
+    """Snapped eigenvalues, the matrix map g -> g(A) and eigenvector columns, all via Jacobi.
+
+    g(A) = D^(-1/2) Q diag(g) Q^T D^(1/2) with Q from Jacobi on the
+    symmetrised matrix; the columns are Q pulled back by D^(-1/2) with the
+    largest-magnitude component made positive.
+    """
+    s = np.sqrt(op.space.mu)
+    m = (s[:, None] * op.entries) / s[None, :]
+    w, q = _jacobi_eigh(0.5 * (m + m.T))
+    order = np.argsort(w)
+    w, q = w[order], q[:, order]
+    scale = np.abs(w).max(initial=0.0)
+    w = np.where(np.abs(w) < KERNEL_SNAP_REL * scale, 0.0, w)
+    cols = q / s[:, None]
+    cols *= np.sign(cols[np.abs(cols).argmax(axis=0), np.arange(w.size)])
+    return w, (lambda g: ((q * g) @ q.T) / s[:, None] * s[None, :]), cols
+
+
+def _rotated(rng, mu, eigenvalues):
+    """mu-selfadjoint D^(-1/2) Q diag(eigenvalues) Q^T D^(1/2) with a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((mu.size, mu.size)))
+    w = np.sqrt(mu)
+    return WeightedSpace(mu), ((q * eigenvalues) @ q.T) / w[:, None] * w[None, :]
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(1500)
+    for n in (1, 2, 8, 16, 48):
+        yield f"random n={n}", random_mu_symmetric(rng, n)
+    for n in (8, 16):
+        yield f"graded n={n}", _rotated(rng, rng.uniform(0.5, 2.0, n), np.geomspace(1e-10, 1.0, n))
+        graded = rng.permutation(np.geomspace(1e-10, 1.0, n))
+        yield f"graded diagonal n={n}", (WeightedSpace(rng.uniform(0.5, 2.0, n)), np.diag(graded))
+    # diffusion generators D^(-1) (diag(W 1) - W): an exact kernel, and two
+    # clusters coupled at 1e-8 whose spectral gap sits far above the snap
+    for label, coupling in (("kernel", 1.0), ("near-kernel", 1e-8)):
+        mu = rng.uniform(0.5, 2.0, 12)
+        wts = rng.uniform(0.0, 1.0, (12, 12))
+        wts = 0.5 * (wts + wts.T)
+        wts[:6, 6:] *= coupling
+        wts[6:, :6] *= coupling
+        np.fill_diagonal(wts, 0.0)
+        yield f"{label} generator", (WeightedSpace(mu), (np.diag(wts.sum(axis=1)) - wts) / mu[:, None])
+    yield "zero", (WeightedSpace(rng.uniform(0.5, 2.0, 5)), np.zeros((5, 5)))
+    yield "identity", (WeightedSpace(rng.uniform(0.5, 2.0, 6)), 2.0 * np.eye(6))
+    yield "repeated", _rotated(rng, rng.uniform(0.5, 2.0, 9), np.array([0, 0, 1, 1, 1, 2, 3, 3, 5.0]))
+
+
+@pytest.mark.parametrize("label, case", list(_oracle_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_decompose_matches_the_jacobi_oracle(label, case):
+    sp, a = case
+    dec = decompose(MuSymmetricOperator(sp, a))
+    w, matrix_of, cols = _jacobi_oracle(MuSymmetricOperator(sp, a))
+    # both routes are backward stable: eigenvalues agree to n eps ||A||, and
+    # an eigenvector or spectral projector to n eps ||A|| / gap
+    scale = max(float(np.abs(w).max(initial=0.0)), 1e-300)
+    eps = 1e-14 * sp.n * scale
+    np.testing.assert_allclose(dec.eigenvalues, w, rtol=0.0, atol=eps)
+    np.testing.assert_array_equal(dec.eigenvalues == 0.0, w == 0.0)
+    # functions of the operator do not depend on the basis chosen inside an
+    # eigenspace; the kernel projector is as sensitive as the kernel's gap
+    kernel_gap = float(np.abs(w[w != 0.0]).min(initial=scale))
+    f = np.random.default_rng(1600).standard_normal((sp.n, 3))
+    for g, tol in ((lambda lam: lam, 1e-12), (lambda lam: np.exp(-lam / scale), 1e-12),
+                   (lambda lam: (lam == 0.0) * 1.0, max(1e-12, eps / kernel_gap))):
+        want = matrix_of(g(w))
+        np.testing.assert_allclose(spectral_matrix(dec, g(dec.eigenvalues)), want,
+                                   rtol=0.0, atol=tol * max(1.0, np.abs(want).max()))
+        np.testing.assert_allclose(apply_multiplier(dec, g(dec.eigenvalues), f), want @ f,
+                                   rtol=0.0, atol=tol * max(1.0, np.abs(want @ f).max()))
+    # a simple eigenvalue fixes its eigenvector up to sign, and the sign
+    # convention (largest-magnitude component positive) fixes the sign
+    gaps = np.diff(np.concatenate(([-np.inf], w, [np.inf])))
+    gap = np.minimum(gaps[:-1], gaps[1:])
+    simple = gap > 1e-6 * scale
+    assert simple.any() or label in ("zero", "identity")
+    err = np.abs(dec.eigenvectors - cols).max(axis=0)
+    assert np.all(err[simple] <= 1e-12 + eps / gap[simple]), (err[simple], gap[simple])
 
 
 def test_apply_multiplier_identity_and_square():
