@@ -9,7 +9,6 @@ normalised.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,12 +27,6 @@ __all__ = [
     "fiber_norm",
     "pointwise_banach_norm",
     "pointwise_sup",
-    "space_to_json",
-    "space_from_json",
-    "field_to_json",
-    "field_from_json",
-    "bochner_field_to_json",
-    "bochner_field_from_json",
 ]
 
 
@@ -227,61 +220,3 @@ def pointwise_sup(fields) -> np.ndarray:
         raise ValueError("fields must share one shape")
     return np.maximum.reduce(arrays)
 
-
-# ---------------------------------------------------------------------------
-# JSON round-trip.  Python's json module serialises floats via repr, which
-# round-trips binary64 exactly; complex entries are stored as [re, im] pairs.
-
-def space_to_json(space: WeightedSpace) -> str:
-    return json.dumps({"n": space.n, "mu": space.mu.tolist()})
-
-
-def space_from_json(doc: str) -> WeightedSpace:
-    data = json.loads(doc)
-    mu = np.asarray(data["mu"], dtype=float)
-    if int(data["n"]) != mu.size:
-        raise ValueError("inconsistent document: n does not match len(mu)")
-    return WeightedSpace(mu)
-
-
-def field_to_json(space: WeightedSpace, f) -> str:
-    f = as_scalar_field(space, f)
-    values = [[float(v.real), float(v.imag)] for v in f]
-    return json.dumps({"n": space.n, "mu": space.mu.tolist(), "values": values})
-
-
-def field_from_json(doc: str) -> tuple[WeightedSpace, np.ndarray]:
-    data = json.loads(doc)
-    space = WeightedSpace(np.asarray(data["mu"], dtype=float))
-    if int(data["n"]) != space.n:
-        raise ValueError("inconsistent document: n does not match len(mu)")
-    pairs = np.asarray(data["values"], dtype=float)
-    if pairs.shape != (space.n, 2):
-        raise ValueError("scalar field document must list one [re, im] pair per point")
-    return space, pairs[:, 0] + 1j * pairs[:, 1]
-
-
-def bochner_field_to_json(space: WeightedSpace, field: BochnerField) -> str:
-    if field.n != space.n:
-        raise ValueError(f"field has {field.n} points, space has {space.n}")
-    values = [[[float(v.real), float(v.imag)] for v in row] for row in field.values]
-    return json.dumps(
-        {
-            "n": space.n,
-            "mu": space.mu.tolist(),
-            "d": field.norm.d,
-            "r": "inf" if field.norm.is_sup else field.norm.r,
-            "values": values,
-        }
-    )
-
-
-def bochner_field_from_json(doc: str) -> tuple[WeightedSpace, BochnerField]:
-    data = json.loads(doc)
-    space = WeightedSpace(np.asarray(data["mu"], dtype=float))
-    r = math.inf if data["r"] == "inf" else float(data["r"])
-    descriptor = BanachNormDescriptor(int(data["d"]), r)
-    pairs = np.asarray(data["values"], dtype=float)
-    if pairs.shape != (space.n, descriptor.d, 2):
-        raise ValueError("Bochner field document must list d [re, im] pairs per point")
-    return space, BochnerField(pairs[..., 0] + 1j * pairs[..., 1], descriptor)

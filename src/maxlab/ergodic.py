@@ -136,25 +136,8 @@ def _maximal_ratio(gen, f, p: float, t_grid) -> float:
     return lp_norm(gen.space, maximal_ergodic(gen, f, t_grid), p) / bochner_norm(gen.space, f, p)
 
 
-def _hill_climb_ratio(gen, f0: np.ndarray, p: float, t_grid, rng, steps: int = 60) -> float:
-    """Gradient-free search for a worse field, starting from f0."""
-    best_f = f0
-    best = _maximal_ratio(gen, f0, p, t_grid)
-    scale = 0.5
-    for step in range(steps):
-        candidate = best_f + scale * (rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n))
-        value = _maximal_ratio(gen, candidate, p, t_grid)
-        if value > best:
-            best = value
-            best_f = candidate
-        elif step % 10 == 9:
-            scale *= 0.5
-    return best
-
-
 def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
-                   seed: int = 0, descriptor: BanachNormDescriptor | None = None,
-                   adversarial: bool = False) -> HdsResult:
+                   seed: int = 0, descriptor: BanachNormDescriptor | None = None) -> HdsResult:
     """Scalar and vector maximal-ergodic ratios over a seeded ensemble.
 
     Every ratio ||sup_t |A(t) f|||_p / ||f||_p is compared against
@@ -179,8 +162,6 @@ def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
             for _ in range(trials):
                 f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
                 scalar = _maximal_ratio(gen, f, p, t_grid)
-                if adversarial:
-                    scalar = max(scalar, _hill_climb_ratio(gen, f, p, t_grid, rng))
                 values = rng.standard_normal((gen.n, descriptor.d)) + 1j * rng.standard_normal(
                     (gen.n, descriptor.d))
                 vector = _maximal_ratio(gen, BochnerField(values, descriptor), p, t_grid)

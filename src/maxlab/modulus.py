@@ -11,7 +11,6 @@ supremum is monitored through the stabilisation residual.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -93,15 +92,6 @@ class ModulusResult:
     S_t: np.ndarray
     depth: int
     residual: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "depth": self.depth,
-                "residual": self.residual,
-                "S_t": [[float(v) for v in row] for row in self.S_t],
-            }
-        )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
-"""Tests for weighted spaces, norms and serialisation."""
+"""Tests for weighted spaces, norms and Bochner fields."""
 
-import json
 import math
 
 import numpy as np
@@ -11,16 +10,10 @@ from maxlab.core import (
     BochnerField,
     ToleranceConfig,
     WeightedSpace,
-    bochner_field_from_json,
-    bochner_field_to_json,
     bochner_norm,
-    field_from_json,
-    field_to_json,
     lp_norm,
     pointwise_banach_norm,
     pointwise_sup,
-    space_from_json,
-    space_to_json,
 )
 
 
@@ -145,34 +138,3 @@ def test_pointwise_sup():
     # real-valued complex input is accepted
     np.testing.assert_allclose(pointwise_sup([np.array([2.0 + 0j])]), [2.0])
 
-
-def test_space_json_round_trip():
-    sp = WeightedSpace(np.array([0.25, 1.0, 3.75]))
-    again = space_from_json(space_to_json(sp))
-    np.testing.assert_array_equal(again.mu, sp.mu)
-
-
-def test_field_json_round_trip_exact():
-    rng = np.random.default_rng(17)
-    sp = WeightedSpace(rng.uniform(0.5, 2.0, 4))
-    f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    sp2, f2 = field_from_json(field_to_json(sp, f))
-    np.testing.assert_array_equal(sp2.mu, sp.mu)
-    np.testing.assert_array_equal(f2, f)
-
-
-def test_bochner_field_json_round_trip():
-    rng = np.random.default_rng(23)
-    sp = WeightedSpace(rng.uniform(0.5, 2.0, 3))
-    for r in (2.5, math.inf):
-        field = BochnerField(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
-                             BanachNormDescriptor(2, r))
-        doc = bochner_field_to_json(sp, field)
-        # the sup exponent must survive the round trip through JSON
-        parsed = json.loads(doc)
-        sp2, field2 = bochner_field_from_json(doc)
-        np.testing.assert_array_equal(sp2.mu, sp.mu)
-        np.testing.assert_array_equal(field2.values, field.values)
-        assert field2.norm == field.norm
-        if math.isinf(r):
-            assert parsed["r"] == "inf"

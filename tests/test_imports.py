@@ -1,8 +1,11 @@
-"""The runtime imports only the standard library, numpy and maxlab itself."""
+"""The runtime imports only the standard library, numpy and maxlab itself,
+and every name a module exports is defined."""
 
 import ast
+import importlib
 import pathlib
 import sys
+import types
 
 import pytest
 
@@ -32,3 +35,21 @@ def test_module_imports_only_stdlib_numpy_and_maxlab(path):
 def test_check_flags_a_foreign_import():
     tree = ast.parse("import numpy as np\nfrom scipy.linalg import eigh\nfrom . import core\n")
     assert set(_imported_roots(tree)) - ALLOWED == {"scipy"}
+
+
+def _unresolved(module):
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_exported_name_is_defined(path):
+    name = "maxlab" if path.stem == "__init__" else f"maxlab.{path.stem}"
+    module = importlib.import_module(name)
+    assert not _unresolved(module), f"{name}.__all__ names undefined {_unresolved(module)}"
+
+
+def test_check_flags_a_stale_export():
+    module = types.ModuleType("stale")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = None
+    assert _unresolved(module) == ["deleted"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, pointwise_banach_norm
+from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm, pointwise_banach_norm
 from maxlab.semigroup import EnsembleSpec, SectorGrid, build_ensemble, random_generator
 from maxlab.spectral import (
     FAMILY_BLOCK,
@@ -501,3 +501,117 @@ def test_lower_bound_accepts_generator_instance():
     second = operator_norm_lower_bound(sp, a, 3.0, trials=4, seed=5)
     assert first == pytest.approx(2.0, rel=1e-12)
     assert second == pytest.approx(2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-start Boyd loop, the oracle the block iteration in
+# operator_norm_lower_bound is checked against: every basis vector in
+# weighted coordinates, then each seeded start refined on its own by the
+# Boyd/Higham p-norm power iteration (Higham, Numer. Math. 62, 1992).
+
+def _oracle_dual_sign_power(y: np.ndarray, e: float) -> np.ndarray:
+    """Direction of the duality map ``y -> |y|^e * phase(y)``, overflow-guarded."""
+    mags = np.abs(y)
+    top = mags.max()
+    if top == 0.0:
+        return np.zeros_like(y)
+    scaled = mags / top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = np.where(mags > 0.0, y / np.where(mags > 0.0, mags, 1.0), 0.0)
+    return scaled**e * phase
+
+
+def _boyd_refine(b: np.ndarray, x0: np.ndarray, p: float, max_iter: int = 30) -> float:
+    """Boyd/Higham power iteration for the unweighted p-norm of ``b``.
+
+    Every iterate yields a genuine ratio ||Bx||_p / ||x||_p, so the
+    running maximum is a certified lower bound.
+    """
+    q = p / (p - 1.0)
+    x = x0 / np.linalg.norm(x0, ord=p)
+    best = 0.0
+    for _ in range(max_iter):
+        y = b @ x
+        gamma = float(np.linalg.norm(y, ord=p))
+        if gamma <= best + 1e-15 * max(best, 1.0):
+            best = max(best, gamma)
+            break
+        best = gamma
+        z = b.conj().T @ _oracle_dual_sign_power(y, p - 1.0)
+        direction = _oracle_dual_sign_power(z, q - 1.0)
+        scale = np.linalg.norm(direction, ord=p)
+        if scale == 0.0:
+            break
+        x = direction / scale
+    return best
+
+
+def _per_start_lower_bound(space, a, p, trials, seed):
+    rng = np.random.default_rng(seed)
+    w = space.mu ** (1.0 / p)
+    b = (w[:, None] * a) / w[None, :]
+    best = 0.0
+    for j in range(space.n):
+        e = np.zeros(space.n)
+        e[j] = 1.0
+        f = e / w  # basis vector in field coordinates, so the ratio is exact for diagonals
+        best = max(best, lp_norm(space, a @ f, p) / lp_norm(space, f, p))
+    for _ in range(trials):
+        x0 = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
+        best = max(best, _boyd_refine(b, x0, p))
+    return best
+
+
+def _norm_upper_bound(space, a, p):
+    """The exact norm at p = 2, else the Riesz-Thorin bound ||A||_1^(1/p) ||A||_inf^(1-1/p)."""
+    if p == 2.0:
+        w = np.sqrt(space.mu)
+        return float(np.linalg.norm((w[:, None] * a) / w[None, :], ord=2))
+    return operator_norm(space, a, 1.0) ** (1.0 / p) * operator_norm(space, a, math.inf) ** (1.0 - 1.0 / p)
+
+
+def _norm_bound_cases():
+    rng = np.random.default_rng(1700)
+    for n in (1, 2, 8, 16):
+        sp, a = random_mu_symmetric(rng, n)
+        yield f"mu-symmetric n={n}", sp, a
+        sp = WeightedSpace(rng.uniform(0.5, 2.0, n))
+        yield f"complex n={n}", sp, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sp = WeightedSpace(rng.uniform(0.5, 2.0, 6))
+    yield "zero", sp, np.zeros((6, 6))
+    yield "diagonal", sp, np.diag([0.5, -3.0, 2.0, 1e-3, 0.0, 2.5])
+    kernel = rng.standard_normal((6, 6))
+    kernel[:, 2] = 0.0
+    yield "kernel column", sp, kernel
+
+
+@pytest.mark.parametrize("label, sp, a", list(_norm_bound_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 7.0))
+def test_block_lower_bound_against_the_per_start_oracle(label, sp, a, p):
+    for trials in (1, 8, 40):
+        with np.errstate(divide="raise", invalid="raise"):
+            got = operator_norm_lower_bound(sp, a, p, trials=trials, seed=trials)
+        # the block takes every iterate the per-start loop takes, and more
+        # the oracle's complex division by a subnormal magnitude overflows
+        # into NaN iterates, which its Python max drops
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _per_start_lower_bound(sp, a, p, trials, trials)
+        assert got >= want * (1.0 - 1e-13)
+        assert got <= _norm_upper_bound(sp, a, p) * (1.0 + 1e-12)
+    if label == "zero":
+        assert got == 0.0
+    if label == "diagonal":
+        # basis vectors give the exact norm of a diagonal matrix at every p
+        assert got == pytest.approx(3.0, rel=1e-14)
+
+
+def test_block_lower_bound_leaves_a_shared_generator_where_the_oracle_does():
+    rng = np.random.default_rng(1800)
+    sp = WeightedSpace(rng.uniform(0.5, 2.0, 8))
+    a = rng.standard_normal((8, 8))
+    block_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for p, trials in ((2.0, 1), (3.0, 8), (1.5, 40)):
+        operator_norm_lower_bound(sp, a, p, trials=trials, seed=block_rng)
+        _per_start_lower_bound(sp, a, p, trials, oracle_rng)
+        assert block_rng.random() == oracle_rng.random()
