@@ -12,7 +12,6 @@ from .core import (
     WeightedSpace,
     bochner_norm,
     lp_norm,
-    pointwise_banach_norm,
     pointwise_sup,
 )
 from .spectral import (
@@ -79,7 +78,7 @@ from .mellin import (
 __all__ = [
     "__version__",
     "BanachNormDescriptor", "BochnerField", "ToleranceConfig", "WeightedSpace",
-    "bochner_norm", "lp_norm", "pointwise_banach_norm", "pointwise_sup",
+    "bochner_norm", "lp_norm", "pointwise_sup",
     "MuSymmetricOperator", "SpectralDecomposition", "apply_multiplier",
     "complex_gamma", "decompose", "family_sup", "gamma_values", "operator_norm",
     "operator_norm_lower_bound", "spectral_matrix",

@@ -25,7 +25,6 @@ __all__ = [
     "field_parts",
     "bochner_norm",
     "fiber_norm",
-    "pointwise_banach_norm",
     "pointwise_sup",
 ]
 
@@ -180,11 +179,6 @@ def fiber_norm(values, r: float) -> np.ndarray:
         # common case, cheaper and slightly more accurate
         return np.sqrt((a * a).sum(axis=-1))
     return (a**r).sum(axis=-1) ** (1.0 / r)
-
-
-def pointwise_banach_norm(field: BochnerField) -> np.ndarray:
-    """Real scalar field ``x -> |F(x)|_B`` of per-point fiber norms."""
-    return fiber_norm(field.values, field.norm.r)
 
 
 def field_parts(space: WeightedSpace, f) -> tuple[np.ndarray, float | None]:

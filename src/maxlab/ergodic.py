@@ -21,9 +21,8 @@ from .core import (
     field_parts,
     lp_norm,
 )
-from .modulus import modulus_generator
 from .semigroup import EnsembleSpec, build_ensemble
-from .spectral import apply_to_field, family_sup, spectral_matrix
+from .spectral import apply_to_field, family_sup
 
 __all__ = [
     "ErgodicReport",
@@ -32,7 +31,6 @@ __all__ = [
     "default_time_grid",
     "ergodic_average",
     "maximal_ergodic",
-    "averaged_modulus_matrix",
     "hds_bound",
     "hds_experiment",
 ]
@@ -85,20 +83,6 @@ def maximal_ergodic(gen, f, t_grid=None) -> np.ndarray:
     values, r = field_parts(gen.space, f)
     dec = gen.decomposition
     return family_sup(dec, _averaging_values(dec.eigenvalues, t_grid), values, r)
-
-
-def averaged_modulus_matrix(gen, t: float) -> np.ndarray:
-    """Matrix of the time-averaged modulus semigroup A(S, t).
-
-    The dyadic modulus construction stabilises on the semigroup of the
-    modulus generator, so its time average is again a closed-form
-    spectral function; used by the domination chain checks.
-    """
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"averaging time must be positive and finite, got {t}")
-    hat = modulus_generator(gen)
-    return spectral_matrix(hat.decomposition, _averaging_values(hat.decomposition.eigenvalues, t))
 
 
 def hds_bound(p: float) -> float:

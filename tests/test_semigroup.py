@@ -1,12 +1,13 @@
 """Tests for generators, semigroup evolution, sector probes and imaginary powers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
+from maxlab.core import DEFAULT_TOL, BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
 from maxlab.spectral import (
     MuSymmetricOperator,
     decompose,
@@ -14,6 +15,7 @@ from maxlab.spectral import (
     operator_norm_lower_bound,
 )
 from maxlab.semigroup import (
+    DEFAULT_T_GRID,
     ContractionSemigroupGenerator,
     DiffusionGenerator,
     EnsembleSpec,
@@ -112,13 +114,17 @@ def test_diffusion_validation_rejects_sign_violations():
     ContractionSemigroupGenerator(MuSymmetricOperator(sp, np.array([[1.0, 1.0], [1.0, 1.0]])))
 
 
+def _unchecked(op):
+    """Generator-like view of an operator that skips every construction check."""
+    return SimpleNamespace(space=op.space, decomposition=decompose(op))
+
+
 def test_contraction_validation_rejects_indefinite_generator():
     sp = WeightedSpace(np.array([1.0, 1.0]))
     op = MuSymmetricOperator(sp, np.array([[0.2, -1.0], [-1.0, 0.2]]))
     with pytest.raises(ValueError):
         ContractionSemigroupGenerator(op)
-    gen = ContractionSemigroupGenerator(op, validate=False)
-    assert not verify_contraction_property(gen).passed
+    assert not verify_contraction_property(_unchecked(op)).passed
 
 
 def test_positive_semidefinite_generator_can_still_break_contraction():
@@ -128,10 +134,132 @@ def test_positive_semidefinite_generator_can_still_break_contraction():
     assert np.all(np.linalg.eigvalsh(op.entries) > 0.0)
     with pytest.raises(ValueError):
         ContractionSemigroupGenerator(op)
-    gen = ContractionSemigroupGenerator(op, validate=False)
-    report = verify_contraction_property(gen)
+    report = verify_contraction_property(_unchecked(op))
     assert not report.passed
     assert report.worst_norm > 1.0
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_diffusion_sign_check_is_relative_to_the_scale(c):
+    op = MuSymmetricOperator(WeightedSpace(np.ones(2)), c * np.array([[1.0, 0.005], [0.005, 1.0]]))
+    # a contraction generator whose semigroup is not positivity preserving
+    assert semigroup_matrix(ContractionSemigroupGenerator(op), 1.0 / c).min() < -1e-3
+    with pytest.raises(ValueError, match="nonpositive off-diagonal"):
+        DiffusionGenerator(op)
+
+
+# Relative dominance margins of the equivalence sample: rows violating
+# dominance clearly to barely, exactly dominant rows, and strictly dominant ones.
+_MARGINS = tuple(-(10.0 ** -k) for k in range(3, 13)) + (0.0, 1e-12, 1e-6)
+_FINE_T_GRID = np.geomspace(1e-6, 1e2, 41)
+
+
+def _dominance_case(rng, c, margin, balanced):
+    """Random mu-symmetric matrix with mixed signs and every row at the relative margin.
+
+    Balanced signs make it a sign conjugate of a diffusion generator, whose
+    smallest eigenvalue is then the margin itself; unbalanced signs do not.
+    """
+    n = int(rng.integers(2, 9))
+    mu = rng.uniform(0.5, 2.0, n)
+    q = rng.uniform(0.0, 1.0, (n, n))
+    q = q + q.T
+    if balanced:
+        signs = rng.choice([-1.0, 1.0], n)
+        q = -signs[:, None] * q * signs[None, :]
+    else:
+        signs = np.triu(rng.choice([-1.0, 1.0], (n, n)), 1)
+        q = q * (signs + signs.T)
+    off = q / mu[:, None]
+    np.fill_diagonal(off, 0.0)
+    radius = np.abs(off).sum(axis=1)
+    ell = off + np.diag(radius + margin * radius.max())
+    return MuSymmetricOperator(WeightedSpace(mu), c * ell)
+
+
+def _grid_passes(op, t_grid):
+    with np.errstate(over="ignore"):
+        try:
+            return verify_contraction_property(_unchecked(op), t_grid).passed
+        except ValueError:
+            # exp(-t lambda) overflowed: a negative eigenvalue blew the semigroup up
+            return False
+
+
+@pytest.fixture(scope="module")
+def dominance_sample():
+    """(c, margin, operator, passes DEFAULT_T_GRID, passes a grid down to t = 1e-6) rows."""
+    rng = np.random.default_rng(2026)
+    sample = []
+    for c in np.geomspace(1e-8, 1e8, 9):
+        for margin in _MARGINS:
+            for balanced in (True, False):
+                op = _dominance_case(rng, float(c), margin, balanced)
+                sample.append((float(c), margin, op, _grid_passes(op, DEFAULT_T_GRID),
+                               _grid_passes(op, _FINE_T_GRID)))
+    return sample
+
+
+def _constructs(op):
+    try:
+        ContractionSemigroupGenerator(op)
+    except ValueError:
+        return False
+    return True
+
+
+def _loosely_constructs(op):
+    """Dominance and spectrum checked at abs_tol * max|L| instead of rounding level."""
+    a = op.entries
+    tol = DEFAULT_TOL.abs_tol * np.abs(a).max()
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    return bool((a.diagonal() - off.sum(axis=1)).min() >= -tol
+                and decompose(op).eigenvalues.min() >= -tol)
+
+
+def _grid_rejects_but_accepted(accepts, sample):
+    return [(c, margin) for c, margin, op, coarse, _ in sample if not coarse and accepts(op)]
+
+
+def _accepted_but_a_grid_fails(accepts, sample):
+    return [(c, margin) for c, margin, op, coarse, fine in sample
+            if accepts(op) and not (coarse and fine)]
+
+
+def test_construction_agrees_with_the_sampled_contraction_check(dominance_sample):
+    assert _grid_rejects_but_accepted(_constructs, dominance_sample) == []
+    assert _accepted_but_a_grid_fails(_constructs, dominance_sample) == []
+    # the tolerance is rounding level: exact dominance passes, a 1e-12 deficit does not
+    for c, margin, op, _, _ in dominance_sample:
+        assert _constructs(op) == (margin >= 0.0), (c, margin)
+    assert not all(coarse for _, _, _, coarse, _ in dominance_sample)
+
+
+def test_loose_dominance_tolerance_misses_sampled_failures(dominance_sample):
+    # negative control: abs_tol * max|L| accepts deficits the grid check exposes
+    assert _grid_rejects_but_accepted(_loosely_constructs, dominance_sample)
+    assert _accepted_but_a_grid_fails(_loosely_constructs, dominance_sample)
+
+
+def test_construction_never_samples_the_contraction_grid(monkeypatch, tmp_path):
+    import maxlab.cli as cli
+    import maxlab.semigroup as semigroup
+    from maxlab.modulus import modulus_generator
+
+    calls = []
+
+    def counted(gen, *args, **kwargs):
+        calls.append(gen)
+        return verify_contraction_property(gen, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "verify_contraction_property", counted)
+    monkeypatch.setattr(cli, "verify_contraction_property", counted)
+    for kind in ("diffusion", "contraction"):
+        modulus_generator(random_generator(6, 12, kind=kind))
+    assert calls == []
+    assert cli.main(["verify-semigroup", "--count", "3", "--out", str(tmp_path / "vs")]) == 0
+    assert len(calls) == 3
 
 
 def test_semigroup_matrix_against_dense_exponential():

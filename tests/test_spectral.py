@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm, pointwise_banach_norm
+from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, fiber_norm, lp_norm
 from maxlab.semigroup import EnsembleSpec, SectorGrid, build_ensemble, random_generator
 from maxlab.spectral import (
     FAMILY_BLOCK,
@@ -327,7 +327,7 @@ def _reference_family_sup(dec, gvals, values, r):
     best = np.zeros(dec.n)
     for g in gvals:
         out = dec.eigenvectors @ (g[:, None] * coeff)
-        norm = np.abs(out[:, 0]) if scalar else pointwise_banach_norm(field.replace_values(out))
+        norm = np.abs(out[:, 0]) if scalar else fiber_norm(field.replace_values(out).values, field.norm.r)
         best = np.maximum(best, norm)
     return best
 
