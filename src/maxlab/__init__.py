@@ -22,6 +22,7 @@ from .spectral import (
     decompose,
     family_sup,
     gamma_values,
+    multiplier_norm_bounds,
     operator_norm,
     operator_norm_lower_bound,
     spectral_matrix,
@@ -80,8 +81,8 @@ __all__ = [
     "BanachNormDescriptor", "BochnerField", "ToleranceConfig", "WeightedSpace",
     "bochner_norm", "lp_norm", "pointwise_sup",
     "MuSymmetricOperator", "SpectralDecomposition", "apply_multiplier",
-    "complex_gamma", "decompose", "family_sup", "gamma_values", "operator_norm",
-    "operator_norm_lower_bound", "spectral_matrix",
+    "complex_gamma", "decompose", "family_sup", "gamma_values", "multiplier_norm_bounds",
+    "operator_norm", "operator_norm_lower_bound", "spectral_matrix",
     "ContractionSemigroupGenerator", "DiffusionGenerator", "EnsembleSpec",
     "SectorGrid", "build_ensemble", "evolve", "exemplar_contraction_generator",
     "imaginary_power", "random_generator", "sector_angles", "sector_contraction_probe",

@@ -35,8 +35,8 @@ from .semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    _imaginary_power_values,
     evolve,
-    imaginary_power_matrix,
     sector_angles,
     stein_angle,
 )
@@ -45,7 +45,7 @@ from .spectral import (
     apply_to_field,
     family_sup,
     gamma_values,
-    operator_norm_lower_bound,
+    multiplier_norm_bounds,
 )
 
 __all__ = [
@@ -132,12 +132,18 @@ class MaximalReport:
 
 @dataclass(frozen=True)
 class BipEstimate:
-    """Lower-bound table for ||L^{iu}||_p with the fitted envelope (K, omega)."""
+    """Two-sided table (u, norm_lb, norm_ub) for ||L^{iu}||_p with fitted envelopes.
+
+    (K, omega) is fitted to the lower bounds; ``omega_ub`` is the same fit's
+    angle through the upper bounds, so ||L^{iu}||_p <= e^{omega_ub |u|} at
+    every grid node.
+    """
 
     p: float
     rows: tuple
     K: float
     omega: float
+    omega_ub: float
 
 
 def _m_theta_values(theta, lam) -> np.ndarray:
@@ -481,15 +487,26 @@ def pointwise_convergence_profile(gen, field: BochnerField, psi: float,
     return ConvergenceProfile(radii=radii, errors=errors, slope=slope)
 
 
+def _growth_angle(us, norms) -> float:
+    """Least omega >= 0 with norm <= e^{omega |u|} at every nonzero node."""
+    omega = 0.0
+    for u, norm in zip(us, norms):
+        if u != 0.0 and norm > 0.0:
+            omega = max(omega, math.log(norm) / abs(u))
+    return omega
+
+
 def imaginary_power_estimate(gen, p: float, u_grid=None, trials: int = 40,
                              seed: int = 0) -> BipEstimate:
-    """Randomized lower bounds on ||L^{iu}||_p with a fitted growth envelope.
+    """Two-sided bounds on ||L^{iu}||_p (multiplier_norm_bounds) with growth envelopes.
 
     The generator must be injective (the Mellin representation behind the
-    estimate presumes strictly positive spectrum).  The fit reports the
-    least exponential envelope through the exact value 1 at u = 0:
+    estimate presumes strictly positive spectrum).  At p = 2 both bounds
+    are the exact norm.  The fit reports the least exponential envelope
+    through the exact value 1 at u = 0:
     omega = max over nonzero grid u of log(norm_lb(u))/|u| (clamped at 0)
-    and K = max over the grid of norm_lb(u) e^{-omega |u|}.
+    and K = max over the grid of norm_lb(u) e^{-omega |u|}; omega_ub is
+    the same angle through norm_ub.
     """
     if not gen.injective:
         raise ValueError("imaginary-power estimates require an injective generator")
@@ -501,18 +518,15 @@ def imaginary_power_estimate(gen, p: float, u_grid=None, trials: int = 40,
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
         raise ValueError("u grid must be nonempty")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for u in u_grid:
-        if u == 0.0:
-            rows.append((0.0, 1.0))
-            continue
-        matrix = imaginary_power_matrix(gen, float(u))
-        lb = operator_norm_lower_bound(gen.space, matrix, p, trials=trials, seed=rng)
-        rows.append((float(u), float(lb)))
-    omega = 0.0
-    for u, lb in rows:
-        if u != 0.0 and lb > 0.0:
-            omega = max(omega, math.log(lb) / abs(u))
-    big_k = max(lb * math.exp(-omega * abs(u)) for u, lb in rows)
-    return BipEstimate(p=p, rows=tuple(rows), K=float(big_k), omega=float(omega))
+    lam = gen.decomposition.eigenvalues
+    moving = u_grid != 0.0
+    lower, upper = np.ones(u_grid.size), np.ones(u_grid.size)
+    if moving.any():
+        gvals = np.array([_imaginary_power_values(lam, float(u)) for u in u_grid[moving]])
+        lower[moving], upper[moving] = multiplier_norm_bounds(gen.decomposition, gvals, p,
+                                                              trials=trials, seed=seed)
+    rows = tuple((float(u), float(lb), float(ub)) for u, lb, ub in zip(u_grid, lower, upper))
+    omega = _growth_angle(u_grid, lower)
+    big_k = max(lb * math.exp(-omega * abs(u)) for u, lb in zip(u_grid, lower))
+    return BipEstimate(p=p, rows=rows, K=float(big_k), omega=float(omega),
+                       omega_ub=float(_growth_angle(u_grid, upper)))

@@ -9,8 +9,10 @@ and every maximal function through its pointwise sup, family_sup.
 
 The module also carries a Lanczos evaluation of the complex Gamma
 function (needed by the multiplier transforms downstream) and exact
-endpoint operator norms plus randomized certified lower bounds for the
-intermediate exponents.
+endpoint operator norms, randomized certified lower bounds for the
+intermediate exponents, and two-sided bounds on the norms of functions of
+the operator: exact at p = 2, where they are normal in L^2(mu), and
+Riesz-Thorin upper bounds elsewhere.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "SpectralDecomposition",
     "GammaPoleError",
     "decompose",
+    "eigen_residual",
     "apply_multiplier",
     "apply_to_field",
     "family_sup",
@@ -42,6 +45,7 @@ __all__ = [
     "gamma_values",
     "operator_norm",
     "operator_norm_lower_bound",
+    "multiplier_norm_bounds",
 ]
 
 # Eigenvalues below this relative threshold are snapped to exact zero so
@@ -77,7 +81,7 @@ class MuSymmetricOperator:
         # relative to the scale of W = D A, so that rounding is not taken for asymmetry
         w = self.space.mu[:, None] * a
         skew = np.abs(w - w.T).max()
-        scale = max(1.0, float(np.abs(w).max()))
+        scale = float(np.abs(w).max())
         if skew > self.tol.abs_tol * scale:
             raise ValueError(f"operator is not mu-selfadjoint: max |mu_i A_ij - mu_j A_ji| = "
                              f"{skew:.3e} at scale max |mu_i A_ij| = {scale:.3e}")
@@ -127,6 +131,16 @@ def decompose(op: MuSymmetricOperator) -> SpectralDecomposition:
     if scale > 0.0:
         w[np.abs(w) < KERNEL_SNAP_REL * scale] = 0.0
     return SpectralDecomposition(op.space, w, vecs)
+
+
+def eigen_residual(op: MuSymmetricOperator, dec: SpectralDecomposition) -> float:
+    """Relative residual ``max|L V - V Lambda| / max|L|`` of a decomposition (0 for L = 0)."""
+    a = op.entries
+    scale = float(np.abs(a).max(initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    v = dec.eigenvectors
+    return float(np.abs(a @ v - v * dec.eigenvalues).max()) / scale
 
 
 def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
@@ -314,3 +328,37 @@ def operator_norm_lower_bound(space: WeightedSpace, a: np.ndarray, p: float,
         scale = np.linalg.norm(direction, ord=p, axis=0)
         x = direction / np.where(scale > 0.0, scale, 1.0)
     return float(best.max())
+
+
+def multiplier_norm_bounds(dec: SpectralDecomposition, gvals, p: float,
+                           trials: int = 100, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the weighted L^p norm of g(L), one pair per row g.
+
+    ``gvals`` holds rows (K, n) of multiplier values on the spectrum.  A
+    function of a mu-selfadjoint L is normal in L^2(mu), so at p = 2 both
+    bounds are the exact norm ``max_k |g(lambda_k)|`` and no matrix is
+    built.  Elsewhere each row's matrix gets operator_norm_lower_bound,
+    all rows drawing from one generator made from ``seed``, and the
+    Riesz-Thorin bound between 2 and the nearer endpoint e in {1, inf},
+    ``||T||_2^(1 - theta) ||T||_e^theta`` with ``theta = |2/p - 1|``.  A
+    row with no imaginary part gives a real matrix.
+    """
+    gvals = np.atleast_2d(gvals)
+    p = float(p)
+    if gvals.ndim != 2 or gvals.shape[1] != dec.n:
+        raise ValueError(f"need rows of {dec.n} multiplier values, got shape {gvals.shape}")
+    if not np.all(np.isfinite(gvals)):
+        raise ValueError("spectral multiplier values must be finite")
+    exact = np.abs(gvals).max(axis=1)
+    if p == 2.0:
+        return exact, exact.copy()
+    theta = abs(2.0 / p - 1.0)
+    endpoint = 1.0 if p < 2.0 else math.inf
+    rng = np.random.default_rng(seed)
+    lower = np.empty(len(gvals))
+    upper = np.empty(len(gvals))
+    for k, g in enumerate(gvals):
+        m = spectral_matrix(dec, g if np.any(g.imag) else g.real)
+        lower[k] = operator_norm_lower_bound(dec.space, m, p, trials=trials, seed=rng)
+        upper[k] = exact[k] ** (1.0 - theta) * operator_norm(dec.space, m, endpoint) ** theta
+    return lower, upper

@@ -348,3 +348,68 @@ def test_commands_accept_every_rate_scale(tmp_path, c):
         args = [command, "--c", c, "--count", "2", "--config", str(small),
                 "--out", str(tmp_path / command)]
         assert main(args) == 0, command
+
+
+def _counting_norm_bounds(monkeypatch):
+    """Count operator_norm_lower_bound calls through the binding the package uses."""
+    import maxlab.spectral as spectral
+
+    calls = []
+    original = spectral.operator_norm_lower_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "operator_norm_lower_bound", counted)
+    return calls
+
+
+def test_default_verify_semigroup_runs_no_boyd_iteration(tmp_path, monkeypatch):
+    calls = _counting_norm_bounds(monkeypatch)
+    prefix = tmp_path / "vs"
+    assert main(["verify-semigroup", "--out", str(prefix)]) == 0
+    assert calls == []
+    details = json.loads((tmp_path / "vs.manifest.json").read_text())["details"]
+    assert details["sector_nodes"] == {"certified": 8 * 24 * 9, "refuted": 0, "open": 0}
+    assert details["worst_sector_upper_bound"] == details["worst_sector_lower_bound"] <= 1.0
+    assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
+    with open(f"{prefix}.sector.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 8 * 24 * 9
+    assert all(row["norm_lb"] == row["norm_ub"] and row["status"] == "certified" for row in rows)
+    # positive control: away from p = 2 every node runs the iteration once
+    small = tmp_path / "small.json"
+    small.write_text('{"grids": {"n_radii": 3, "n_angles": 3}, "trials": 2}')
+    args = ["verify-semigroup", "--p", "4", "--count", "2", "--config", str(small),
+            "--out", str(tmp_path / "p4")]
+    assert main(args) == 0
+    assert calls == [4.0] * 2 * 3 * 3
+
+
+def test_verify_semigroup_keeps_the_per_node_lower_bounds_away_from_p_two(tmp_path):
+    from maxlab.semigroup import build_ensemble, semigroup_matrix
+    from maxlab.spectral import operator_norm_lower_bound
+
+    small = tmp_path / "small.json"
+    small.write_text('{"grids": {"n_radii": 4, "n_angles": 3}, "trials": 3}')
+    prefix = tmp_path / "p4"
+    args = ["verify-semigroup", "--p", "4", "--p", "1.5", "--count", "2", "--kind",
+            "contraction", "--psi", "0.2", "--config", str(small), "--out", str(prefix)]
+    assert main(args) == 0
+    config = ExperimentConfig.from_sources("verify-semigroup", document=json.loads(
+        small.read_text()), overrides=_overrides_from_args(_build_parser().parse_args(args)))
+    with open(f"{prefix}.sector.csv", newline="") as handle:
+        rows = iter(list(csv.DictReader(handle)))
+    for member_seed, gen in build_ensemble(config.ensemble, config.seed):
+        for p in config.p_list:
+            # the per-node route: one matrix and one Boyd run per node, one stream per member
+            rng = np.random.default_rng(member_seed)
+            for z in config.sector_grid().points():
+                lb = operator_norm_lower_bound(gen.space, semigroup_matrix(gen, z), p,
+                                               trials=3, seed=rng)
+                row = next(rows)
+                assert (row["seed"], row["p"]) == (str(member_seed), _format_cell(p))
+                assert row["norm_lb"] == _format_cell(lb)
+                assert row["status"] in ("certified", "open")
+    assert next(rows, None) is None

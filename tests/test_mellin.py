@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, fiber_norm
-from maxlab.spectral import MuSymmetricOperator, family_sup
+from maxlab.spectral import MuSymmetricOperator, family_sup, operator_norm_lower_bound
 from maxlab.semigroup import (
     DiffusionGenerator,
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
     evolve,
+    imaginary_power_matrix,
     random_generator,
     stein_angle,
 )
@@ -430,20 +431,38 @@ def test_pointwise_profile_validation():
         pointwise_convergence_profile(gen, field, 0.1, radii=np.array([]))
 
 
-def test_imaginary_power_estimate_at_p_two_is_flat():
+def test_imaginary_power_estimate_at_p_two_is_flat(monkeypatch):
+    import maxlab.spectral as spectral
+
+    def no_boyd(*args, **kwargs):
+        raise AssertionError("the p = 2 norm has a closed form")
+
+    monkeypatch.setattr(spectral, "operator_norm_lower_bound", no_boyd)
     gen = random_generator(5, 38, kind="diffusion")
     est = imaginary_power_estimate(gen, 2.0, trials=10, seed=0)
     assert est.K == pytest.approx(1.0, abs=1e-9)
     assert est.omega <= 1e-9
-    by_u = dict(est.rows)
-    assert by_u[0.0] == 1.0
+    assert est.omega_ub <= 1e-9
+    by_u = {u: (lb, ub) for u, lb, ub in est.rows}
+    assert by_u[0.0] == (1.0, 1.0)
+    # ||L^{iu}||_2 = 1: the exact rows, up to the rounding of |e^{i u log lambda}|
+    for lb, ub in by_u.values():
+        assert lb == ub == pytest.approx(1.0, abs=1e-15)
 
 
 def test_imaginary_power_estimate_grows_subexponentially():
     gen = random_generator(6, 39, kind="diffusion")
     est = imaginary_power_estimate(gen, 4.0, trials=10, seed=1)
-    assert est.omega < math.pi / 2.0
+    assert est.omega <= est.omega_ub < math.pi / 2.0
     assert est.K >= 1.0 - 1e-12
+    rng = np.random.default_rng(1)
+    for u, lb, ub in est.rows:
+        assert lb <= ub * (1.0 + 1e-14)
+        assert ub <= math.exp(est.omega_ub * abs(u)) * (1.0 + 1e-14)
+        if u != 0.0:
+            # the lower bounds of the per-node route, one shared stream over the grid
+            m = imaginary_power_matrix(gen, u)
+            assert lb == operator_norm_lower_bound(gen.space, m, 4.0, trials=10, seed=rng)
 
 
 def test_imaginary_power_estimate_requires_injectivity():

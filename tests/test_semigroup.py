@@ -28,6 +28,7 @@ from maxlab.semigroup import (
     random_generator,
     sector_angles,
     sector_contraction_probe,
+    sector_status,
     semigroup_matrix,
     stein_angle,
     verify_contraction_property,
@@ -139,6 +140,16 @@ def test_positive_semidefinite_generator_can_still_break_contraction():
     assert report.worst_norm > 1.0
 
 
+def test_contraction_check_reports_an_overflowing_semigroup():
+    sp = WeightedSpace(np.ones(2))
+    # eigenvalues -1e5 and 1: exp(-t lambda) overflows from t = 7.1e-3 on
+    op = MuSymmetricOperator(sp, np.array([[-49999.5, -50000.5], [-50000.5, -49999.5]]))
+    report = verify_contraction_property(_unchecked(op), np.array([1e-4, 1e-2, 1.0]))
+    assert not report.passed
+    assert report.worst_norm == math.inf
+    assert report.worst_t == 1e-2
+
+
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
 def test_diffusion_sign_check_is_relative_to_the_scale(c):
     op = MuSymmetricOperator(WeightedSpace(np.ones(2)), c * np.array([[1.0, 0.005], [0.005, 1.0]]))
@@ -178,12 +189,7 @@ def _dominance_case(rng, c, margin, balanced):
 
 
 def _grid_passes(op, t_grid):
-    with np.errstate(over="ignore"):
-        try:
-            return verify_contraction_property(_unchecked(op), t_grid).passed
-        except ValueError:
-            # exp(-t lambda) overflowed: a negative eigenvalue blew the semigroup up
-            return False
+    return verify_contraction_property(_unchecked(op), t_grid).passed
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +413,36 @@ def test_sector_probe_at_p_two_allows_the_full_half_plane():
     gen = random_generator(4, 9, kind="diffusion")
     report = sector_contraction_probe(gen, 2.0, 0.45 * math.pi, trials=6, seed=1)
     assert report.passed
+    lam = gen.decomposition.eigenvalues
+    for z_re, z_im, p, lb, ub, status in report.rows:
+        # exp(-z L) is normal in L^2(mu): both bounds are its exact norm
+        assert lb == ub == pytest.approx(np.abs(np.exp(-complex(z_re, z_im) * lam)).max(),
+                                         rel=1e-14)
+        assert status == "certified"
+    assert report.worst_upper == report.worst_norm
+
+
+@pytest.mark.parametrize("p, psi", [(4.0, 0.1 * math.pi), (1.5, 0.6)])
+def test_sector_probe_keeps_the_per_node_lower_bounds(p, psi):
+    gen = random_generator(5, 10, kind="contraction")
+    grid = SectorGrid.default(psi, n_radii=4, n_angles=3)
+    report = sector_contraction_probe(gen, p, psi, grid=grid, trials=3, seed=11)
+    rng = np.random.default_rng(11)
+    for z, (z_re, z_im, _, lb, ub, status) in zip(grid.points(), report.rows):
+        # the per-node route: one matrix and one Boyd run per node, one shared stream
+        assert lb == operator_norm_lower_bound(gen.space, semigroup_matrix(gen, z), p,
+                                               trials=3, seed=rng)
+        assert (z_re, z_im) == (z.real, z.imag)
+        assert lb <= ub * (1.0 + 1e-14)
+        assert status == sector_status(lb, ub)
+    assert report.worst_norm == max(row[3] for row in report.rows)
+    assert report.worst_upper == max(row[4] for row in report.rows)
+
+
+def test_sector_status_rule():
+    assert sector_status(0.5, 1.0 + 1e-10) == "certified"
+    assert sector_status(1.0 + 2e-9, 1.5) == "refuted"
+    assert sector_status(0.99, 1.01) == "open"
 
 
 def test_imaginary_power_is_l2_isometry():

@@ -7,7 +7,13 @@ import pytest
 from scipy.linalg import eigh
 
 from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, fiber_norm, lp_norm
-from maxlab.semigroup import EnsembleSpec, SectorGrid, build_ensemble, random_generator
+from maxlab.semigroup import (
+    DiffusionGenerator,
+    EnsembleSpec,
+    SectorGrid,
+    build_ensemble,
+    random_generator,
+)
 from maxlab.spectral import (
     FAMILY_BLOCK,
     KERNEL_SNAP_REL,
@@ -17,7 +23,9 @@ from maxlab.spectral import (
     complex_gamma,
     decompose,
     family_sup,
+    eigen_residual,
     gamma_values,
+    multiplier_norm_bounds,
     operator_norm,
     operator_norm_lower_bound,
     spectral_matrix,
@@ -58,6 +66,15 @@ def test_mu_symmetry_check_scales_with_the_operator():
         bad[0, 1] += 1e-6 * np.abs(sp.mu[:, None] * bad).max() / sp.mu[0]
         with pytest.raises(ValueError):
             MuSymmetricOperator(sp, bad)
+
+
+def test_mu_symmetry_check_is_relative_below_unit_scale():
+    sp = WeightedSpace(np.ones(2))
+    # a 1% asymmetry at scale 1e-8 once passed an absolute 1e-10 test
+    with pytest.raises(ValueError, match="not mu-selfadjoint"):
+        MuSymmetricOperator(sp, 1e-8 * np.array([[1.0, 0.5], [0.495, 1.0]]))
+    MuSymmetricOperator(sp, 1e-8 * np.array([[1.0, 0.5], [0.5, 1.0]]))
+    MuSymmetricOperator(sp, np.zeros((2, 2)))
 
 
 def test_eigenvalues_match_dense_solver():
@@ -615,3 +632,108 @@ def test_block_lower_bound_leaves_a_shared_generator_where_the_oracle_does():
         operator_norm_lower_bound(sp, a, p, trials=trials, seed=block_rng)
         _per_start_lower_bound(sp, a, p, trials, oracle_rng)
         assert block_rng.random() == oracle_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# multiplier_norm_bounds: the closed form max_k |g(lambda_k)| at p = 2,
+# checked against the block Boyd iteration and the spectral norm of the
+# conjugated matrix; Riesz-Thorin upper bounds elsewhere, checked against
+# the lower bounds and the cruder bound of _norm_upper_bound.
+
+def _bound_generators():
+    for n in (2, 8, 16):
+        yield f"diffusion n={n}", random_generator(n, 1900 + n)
+        yield f"contraction n={n}", random_generator(n, 1950 + n, kind="contraction")
+    mu = np.random.default_rng(1900).uniform(0.5, 2.0, 6)
+    diagonal = np.diag([0.0, 0.3, 1.0, 2.5, 1e-3, 7.0])
+    yield "diagonal", DiffusionGenerator(MuSymmetricOperator(WeightedSpace(mu), diagonal))
+
+
+def _multiplier_rows(dec, seed):
+    """Semigroup rows on a sector grid, imaginary powers and random complex rows."""
+    lam = dec.eigenvalues
+    nodes = SectorGrid.default(0.2 * math.pi, n_radii=6, n_angles=5).points()
+    log = np.log(np.where(lam > 0.0, lam, 1.0))
+    powers = np.exp(1j * np.multiply.outer(np.array([-3.0, 0.5, 2.0]), log))
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((3, lam.size)) + 1j * rng.standard_normal((3, lam.size))
+    return np.vstack([np.exp(np.multiply.outer(-nodes, lam)), powers, noise])
+
+
+_BOUND_GENERATORS = list(_bound_generators())
+_ids = [label for label, _ in _BOUND_GENERATORS]
+
+
+@pytest.mark.parametrize("label, gen", _BOUND_GENERATORS, ids=_ids)
+def test_p2_norm_is_exact_against_the_boyd_oracle_and_the_spectral_norm(label, gen):
+    dec = gen.decomposition
+    rows = _multiplier_rows(dec, 1901)
+    lower, upper = multiplier_norm_bounds(dec, rows, 2.0)
+    assert np.array_equal(lower, upper)
+    w = np.sqrt(dec.space.mu)
+    rounding = 16.0 * dec.n * np.finfo(float).eps
+    for g, exact in zip(rows, lower):
+        assert exact == np.abs(g).max()
+        m = spectral_matrix(dec, g)
+        assert exact >= operator_norm_lower_bound(dec.space, m, 2.0, trials=8, seed=0) \
+            * (1.0 - 1e-13)
+        spectral = np.linalg.norm((w[:, None] * m) / w[None, :], ord=2)
+        assert abs(exact - spectral) <= rounding * exact
+
+
+@pytest.mark.parametrize("label, gen", _BOUND_GENERATORS, ids=_ids)
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0, 4.0))
+def test_norm_bounds_bracket_every_row_below_the_crude_interpolation(label, gen, p):
+    dec = gen.decomposition
+    rows = _multiplier_rows(dec, 1902)
+    lower, upper = multiplier_norm_bounds(dec, rows, p, trials=4, seed=3)
+    # both bounds are exact up to the rounding of the matrix g(L)
+    assert np.all(lower <= upper * (1.0 + 16.0 * dec.n * np.finfo(float).eps))
+    # log-convexity of the Riesz-Thorin bound: interpolating through p = 2
+    # is never worse than interpolating between the endpoints
+    crude = np.array([_norm_upper_bound(dec.space, spectral_matrix(dec, g), p) for g in rows])
+    assert np.all(upper <= crude * (1.0 + 1e-12))
+    if label == "diagonal":
+        # g(L) is diagonal: every bound is the exact norm max|g|
+        np.testing.assert_allclose(lower, np.abs(rows).max(axis=1), rtol=1e-14)
+        np.testing.assert_allclose(upper, np.abs(rows).max(axis=1), rtol=1e-14)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0))
+def test_norm_bounds_keep_the_per_node_lower_bounds(p):
+    gen = random_generator(8, 1903, kind="contraction")
+    dec = gen.decomposition
+    rows = _multiplier_rows(dec, 1904)
+    rows[0] = rows[0].real  # a real row is applied as a real matrix
+    lower, _ = multiplier_norm_bounds(dec, rows, p, trials=3, seed=5)
+    rng, shared = np.random.default_rng(5), np.random.default_rng(5)
+    multiplier_norm_bounds(dec, rows, p, trials=3, seed=shared)
+    for g, got in zip(rows, lower):
+        m = spectral_matrix(dec, g if np.any(g.imag) else g.real)
+        assert got == operator_norm_lower_bound(dec.space, m, p, trials=3, seed=rng)
+    assert rng.random() == shared.random()
+
+
+def test_norm_bounds_validate_rows():
+    dec = random_generator(4, 1905).decomposition
+    with pytest.raises(ValueError):
+        multiplier_norm_bounds(dec, np.ones((2, 3)), 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        multiplier_norm_bounds(dec, np.array([1.0, np.inf, 0.0, 0.0]), 2.0)
+    lower, upper = multiplier_norm_bounds(dec, np.full(4, -0.5), 3.0, trials=2)
+    assert lower.shape == upper.shape == (1,)
+
+
+def test_eigen_residual_is_relative_and_small():
+    rng = np.random.default_rng(1906)
+    for c in (1e-8, 1.0, 1e8):
+        sp, a = random_mu_symmetric(rng, 8)
+        op = MuSymmetricOperator(sp, c * a)
+        assert eigen_residual(op, decompose(op)) <= 1e-13
+    zero = MuSymmetricOperator(WeightedSpace(np.ones(3)), np.zeros((3, 3)))
+    assert eigen_residual(zero, decompose(zero)) == 0.0
+    # a wrong eigenvalue shows up at its own scale
+    op = MuSymmetricOperator(WeightedSpace(np.ones(2)), np.diag([1.0, 2.0]))
+    dec = decompose(op)
+    shifted = type(dec)(dec.space, dec.eigenvalues + np.array([0.0, 1e-3]), dec.eigenvectors)
+    assert eigen_residual(op, shifted) == pytest.approx(5e-4)
