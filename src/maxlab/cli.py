@@ -418,6 +418,7 @@ def _cmd_hds(config: ExperimentConfig):
         f"max_ratio_p_{report.p:g}": max(report.ratios) for report in result.reports
     }
     details["bounds"] = {f"{report.p:g}": report.bound for report in result.reports}
+    details["max_relative_eigen_residual"] = result.max_relative_eigen_residual
     tables = {"hds": (("seed", "n", "p", "ratio", "bound", "pass"), list(result.rows))}
     return result.passed, details, tables
 
@@ -455,6 +456,7 @@ def _cmd_maximal(config: ExperimentConfig):
                  "sigma": report.plan.sigma, "omega": report.plan.omega},
         "uniformity_ratio": report.uniformity_ratio,
         "max_triangle_excess": report.max_triangle_excess,
+        "max_relative_eigen_residual": report.max_relative_eigen_residual,
     }
     rows = list(zip(report.d_list, report.c_emp))
     tables = {"cemp": (("d", "c_emp"), rows)}

@@ -181,8 +181,25 @@ def fiber_norm(values, r: float) -> np.ndarray:
     return (a**r).sum(axis=-1) ** (1.0 / r)
 
 
-def field_parts(space: WeightedSpace, f) -> tuple[np.ndarray, float | None]:
-    """(values, r) of a Bochner field over ``space``; a scalar field gives (values, None)."""
+def field_parts(space: WeightedSpace, f, batch: bool = False) -> tuple[np.ndarray, float | None]:
+    """(values, r) of a Bochner field over ``space``; a scalar field gives (values, None).
+
+    With ``batch``, ``f`` may also be a list of T Bochner fields sharing one
+    descriptor, whose values are stacked as (n, T, d); without it a list of
+    Bochner fields is rejected.
+    """
+    if isinstance(f, list) and (not f or any(isinstance(g, BochnerField) for g in f)):
+        if not batch:
+            raise ValueError("this function takes one field, not a list of fields")
+        if not f:
+            raise ValueError("a field batch needs at least one field")
+        if not all(isinstance(g, BochnerField) for g in f):
+            raise ValueError("a field batch must hold only Bochner fields")
+        if any(g.norm != f[0].norm for g in f):
+            raise ValueError("the fields of a batch must share one fiber descriptor")
+        if any(g.n != space.n for g in f):
+            raise ValueError(f"every field of a batch must have the space's {space.n} points")
+        return np.stack([g.values for g in f], axis=1), f[0].norm.r
     if isinstance(f, BochnerField):
         if f.n != space.n:
             raise ValueError(f"field has {f.n} points, space has {space.n}")

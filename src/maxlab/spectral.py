@@ -5,7 +5,10 @@ Conjugating by ``D^(1/2)`` with ``D = diag(mu)`` turns A into an ordinary
 symmetric matrix, which LAPACK's ``eigh`` diagonalises; pulling the
 eigenvectors back gives a mu-orthonormal eigenbasis.  Every function of
 the operator acting on a field goes through one kernel, apply_multiplier,
-and every maximal function through its pointwise sup, family_sup.
+and every maximal function through its pointwise sup, family_sup.  Both
+take a batch (n, T, d) of T fields as well as one field, and family_sup
+applies a family's rows in blocks of at most FAMILY_BLOCK_ELEMENTS
+(512) rows x columns.
 
 The module also carries a Lanczos evaluation of the complex Gamma
 function (needed by the multiplier transforms downstream) and exact
@@ -53,10 +56,12 @@ __all__ = [
 # for ergodic averages) fire deterministically.
 KERNEL_SNAP_REL = 1e-12
 
-# Multiplier rows applied at a time by family_sup.  A block holds
-# (32, n, d) complex values; one block for all 216 sector nodes raised the
-# peak RSS of `maxlab maximal --n 48` by 18%, 32-row blocks by 5%.
-FAMILY_BLOCK = 32
+# Budget of rows x columns per block applied by family_sup, so a block holds
+# at most (n, 512) complex values whatever the batch width: 32 rows of a
+# d = 16 field, 8 rows of four stacked ones.  Against 39.0 MB for one field
+# per call, `maxlab maximal --n 48` peaked at 43.3 MB RSS with 32-row blocks
+# over 4 x 16 stacked columns, and at 40.0 MB with this budget.
+FAMILY_BLOCK_ELEMENTS = 512
 
 
 class GammaPoleError(ValueError):
@@ -147,22 +152,34 @@ def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
     """Apply spectral multipliers to a field: ``V (g * V^T D F)`` with ``D = diag(mu)``.
 
     ``gvals`` holds one value per eigenvalue, as one row (n,) or a family
-    of rows (K, n); ``values`` is a scalar field (n,) or an (n, d) array
-    of columns.  The result has shape ``gvals.shape[:-1] + values.shape``,
-    one field per row.
+    of rows (K, n); ``values`` is a scalar field (n,) or an array (n, ...)
+    of any trailing shape, such as (n, d) columns or a batch (n, T, d),
+    which is applied as one set of columns.  The result has shape
+    ``gvals.shape[:-1] + values.shape``, one field per row.
+
+    numpy multiplies a single column by a matrix-vector product and several
+    by a matrix product, and the two round differently.  So a batch of
+    width-1 fields (n, T, 1) is applied one column at a time, and every
+    field of a batch comes out bit for bit as it does alone.
     """
     gvals = np.asarray(gvals)
     values = np.asarray(values)
     n = dec.n
     if gvals.ndim not in (1, 2) or gvals.shape[-1] != n:
         raise ValueError(f"need rows of {n} multiplier values, got shape {gvals.shape}")
-    if values.ndim not in (1, 2) or values.shape[0] != n:
+    if values.ndim < 1 or values.shape[0] != n:
         raise ValueError(f"field values must have {n} rows, got shape {values.shape}")
     if not np.all(np.isfinite(gvals)):
         raise ValueError("spectral multiplier values must be finite")
     cols = values.reshape(n, -1)
-    coeff = dec.eigenvectors.T @ (dec.space.mu[:, None] * cols)
-    out = dec.eigenvectors @ (gvals[..., None] * coeff)
+    mu = dec.space.mu[:, None]
+    if values.ndim > 2 and values.shape[-1] == 1:
+        # a stack of (n, 1) columns, (C, n, 1), then back to (..., n, C)
+        coeff = dec.eigenvectors.T @ (mu * cols.T[..., None])
+        out = (dec.eigenvectors @ (gvals[..., None, :, None] * coeff))[..., 0].swapaxes(-1, -2)
+    else:
+        coeff = dec.eigenvectors.T @ (mu * cols)
+        out = dec.eigenvectors @ (gvals[..., None] * coeff)
     return out.reshape(gvals.shape[:-1] + values.shape)
 
 
@@ -177,14 +194,20 @@ def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     """Pointwise sup over the rows g of a family of the fiber norms of g(L) F.
 
     ``gvals`` is (K, n), or one row (n,); ``values`` is a scalar field (n,),
-    whose fiber norm is the modulus (``r`` is unused), or (n, d) columns
-    with the l^r fiber norm.  Rows are applied FAMILY_BLOCK at a time.
+    whose fiber norm is the modulus (``r`` is unused), or (n, ..., d) with
+    the l^r fiber norm over the last axis, for instance (n, d) columns or a
+    batch (n, T, d) of T fields; the result has shape ``values.shape[:-1]``.
+    Rows are applied in blocks of at most FAMILY_BLOCK_ELEMENTS rows x
+    columns, where a point holds ``values[0].size`` columns.
     """
     gvals = np.atleast_2d(gvals)
-    best = np.zeros(dec.n)
-    for start in range(0, gvals.shape[0], FAMILY_BLOCK):
-        block = apply_multiplier(dec, gvals[start:start + FAMILY_BLOCK], values)
-        norms = np.abs(block) if block.ndim == 2 else fiber_norm(block, r)
+    values = np.asarray(values)
+    scalar = values.ndim == 1
+    rows = max(1, FAMILY_BLOCK_ELEMENTS // max(1, values[0].size))
+    best = np.zeros(values.shape if scalar else values.shape[:-1])
+    for start in range(0, gvals.shape[0], rows):
+        block = apply_multiplier(dec, gvals[start:start + rows], values)
+        norms = np.abs(block) if scalar else fiber_norm(block, r)
         best = np.maximum(best, norms.max(axis=0))
     return best
 

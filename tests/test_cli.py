@@ -413,3 +413,14 @@ def test_verify_semigroup_keeps_the_per_node_lower_bounds_away_from_p_two(tmp_pa
                 assert row["norm_lb"] == _format_cell(lb)
                 assert row["status"] in ("certified", "open")
     assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("command", ["hds", "maximal"])
+def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command):
+    prefix = tmp_path / command
+    assert main([command, "--n", "5", "--count", "2", "--trials", "1",
+                 "--out", str(prefix)]) == 0
+    details = json.loads((tmp_path / f"{command}.manifest.json").read_text())["details"]
+    assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
+    for path in tmp_path.glob(f"{command}.*.csv"):
+        assert "residual" not in path.read_text()

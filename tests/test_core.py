@@ -12,6 +12,7 @@ from maxlab.core import (
     WeightedSpace,
     bochner_norm,
     fiber_norm,
+    field_parts,
     lp_norm,
     pointwise_sup,
 )
@@ -138,3 +139,38 @@ def test_pointwise_sup():
     # real-valued complex input is accepted
     np.testing.assert_allclose(pointwise_sup([np.array([2.0 + 0j])]), [2.0])
 
+
+
+def test_field_parts_stacks_a_batch_of_fields():
+    sp = WeightedSpace(np.ones(3))
+    rng = np.random.default_rng(80)
+    desc = BanachNormDescriptor(2, 3.0)
+    fields = [BochnerField(rng.standard_normal((3, 2)), desc) for _ in range(4)]
+    values, r = field_parts(sp, fields, batch=True)
+    assert values.shape == (3, 4, 2) and r == 3.0
+    for j, f in enumerate(fields):
+        assert np.array_equal(values[:, j], f.values)
+    # a list of numbers is still one scalar field
+    values, r = field_parts(sp, [1.0, 2.0, 3.0], batch=True)
+    assert values.shape == (3,) and r is None
+
+
+def test_field_parts_rejects_bad_batches():
+    sp = WeightedSpace(np.ones(3))
+    f = BochnerField(np.ones((3, 2)), BanachNormDescriptor(2, 2.0))
+    bad = (
+        [],                                                              # empty
+        [f, BochnerField(np.ones((3, 2)), BanachNormDescriptor(2, 4.0))],  # mixed r
+        [f, BochnerField(np.ones((3, 1)), BanachNormDescriptor(1, 2.0))],  # mixed d
+        [f, BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))],  # mixed n
+        [BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))],     # n off the space
+        [f, np.ones(3)],                                                 # not all Bochner
+    )
+    for fields in bad:
+        with pytest.raises(ValueError):
+            field_parts(sp, fields, batch=True)
+    # only the maximal functions take a batch
+    with pytest.raises(ValueError, match="not a list"):
+        field_parts(sp, [f, f])
+    with pytest.raises(ValueError):
+        bochner_norm(sp, [f, f], 2.0)

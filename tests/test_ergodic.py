@@ -183,3 +183,60 @@ def test_hds_experiment_rejects_sup_fiber():
     with pytest.raises(ValueError):
         hds_experiment(EnsembleSpec(n=3, count=1), [2.0],
                        descriptor=BanachNormDescriptor(2, math.inf))
+
+
+def test_hds_experiment_rejects_zero_trials():
+    # with no trial the worst ratio was taken over an empty list
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            hds_experiment(EnsembleSpec(n=4, count=2), [2.0], trials=trials)
+
+
+def _reference_hds_rows(spec, p_list, trials, seed, descriptor):
+    """The per-p loop the experiment replaced: every field's sup recomputed for each p."""
+    rows = []
+    for p in p_list:
+        bound = hds_bound(p)
+        for member_seed, gen in build_ensemble(spec, seed):
+            rng = np.random.default_rng(member_seed + 7)
+            for _ in range(trials):
+                f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
+                values = rng.standard_normal((gen.n, descriptor.d)) + 1j * rng.standard_normal(
+                    (gen.n, descriptor.d))
+                for field in (f, BochnerField(values, descriptor)):
+                    ratio = (lp_norm(gen.space, maximal_ergodic(gen, field), p)
+                             / bochner_norm(gen.space, field, p))
+                    rows.append((member_seed, gen.n, p, ratio, bound, ratio <= bound + 1e-9))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n, kind, d, r", [(4, "diffusion", 4, 2.0), (9, "contraction", 3, 1.5),
+                                           (2, "identity", 1, 4.0)])
+def test_hds_experiment_rows_equal_the_per_p_loop(n, kind, d, r):
+    spec = EnsembleSpec(n=n, count=3, kind=kind)
+    descriptor = BanachNormDescriptor(d, r)
+    p_list = (1.5, 2.0, 3.0)
+    result = hds_experiment(spec, p_list, trials=2, seed=41, descriptor=descriptor)
+    assert result.rows == _reference_hds_rows(spec, p_list, 2, 41, descriptor)
+    assert [report.ratios for report in result.reports] == [
+        tuple(row[3] for row in result.rows if row[2] == p) for p in p_list]
+    assert 0.0 <= result.max_relative_eigen_residual < 1e-13
+
+
+def test_hds_experiment_computes_each_maximal_function_once(monkeypatch):
+    from maxlab import ergodic
+
+    calls = []
+    maximal = ergodic.maximal_ergodic
+
+    def counting(gen, f, t_grid=None):
+        calls.append(f)
+        return maximal(gen, f, t_grid)
+
+    monkeypatch.setattr(ergodic, "maximal_ergodic", counting)
+    count, trials = 3, 2
+    result = hds_experiment(EnsembleSpec(n=4, count=count), (1.5, 2.0, 3.0), trials=trials,
+                            seed=43)
+    # one scalar and one vector field per (member, trial), whatever the number of exponents
+    assert len(calls) == 2 * count * trials
+    assert len(result.rows) == 3 * len(calls)

@@ -7,8 +7,21 @@ import pathlib
 import numpy as np
 import pytest
 
-from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, fiber_norm
-from maxlab.spectral import MuSymmetricOperator, family_sup, operator_norm_lower_bound
+from maxlab.core import (
+    BanachNormDescriptor,
+    BochnerField,
+    WeightedSpace,
+    bochner_norm,
+    fiber_norm,
+    lp_norm,
+)
+from maxlab.ergodic import maximal_ergodic
+from maxlab.spectral import (
+    FAMILY_BLOCK_ELEMENTS,
+    MuSymmetricOperator,
+    family_sup,
+    operator_norm_lower_bound,
+)
 from maxlab.semigroup import (
     DiffusionGenerator,
     EnsembleSpec,
@@ -398,6 +411,119 @@ def test_maximal_experiment_validation():
         maximal_theorem_experiment(spec, 4.0, 4.0, 0.1 * math.pi, d_list=[])
     with pytest.raises(BipPlanError):
         maximal_theorem_experiment(spec, 4.0, 4.0, 0.45 * math.pi)
+
+
+def test_maximal_experiment_rejects_zero_trials():
+    # with no trial the profile would be all zeros and pass without checking a field
+    spec = EnsembleSpec(n=4, count=2)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            maximal_theorem_experiment(spec, 4.0, 4.0, 0.1 * math.pi, trials=trials)
+
+
+_MAXIMAL_FUNCTIONS = (
+    (sector_maximal, lambda grid: grid),
+    (m_theta_maximal, lambda grid: grid),
+    (maximal_ergodic, lambda grid: grid.radii),
+)
+
+
+@pytest.mark.parametrize("n", [2, 8, 48])
+def test_batched_maximal_functions_equal_per_field_calls(n):
+    gen = random_generator(n, 2200 + n)
+    grid = SectorGrid.default(0.1 * math.pi)
+    # 216 rows over 4 x 16 columns cross many block boundaries
+    assert len(grid.points()) == 216 and FAMILY_BLOCK_ELEMENTS // 64 < 216
+    rng = np.random.default_rng(2300 + n)
+    for trials in (1, 4):
+        for d in (1, 3, 16):
+            for r in (1.5, 2.0, 4.0, math.inf):
+                descriptor = BanachNormDescriptor(d, r)
+                fields = [BochnerField(rng.standard_normal((n, d))
+                                       + 1j * rng.standard_normal((n, d)), descriptor)
+                          for _ in range(trials)]
+                for maximal, nodes in _MAXIMAL_FUNCTIONS:
+                    batch = maximal(gen, fields, nodes(grid))
+                    assert batch.shape == (n, trials)
+                    for j, field in enumerate(fields):
+                        assert np.array_equal(batch[:, j], maximal(gen, field, nodes(grid)))
+
+
+def test_maximal_functions_reject_bad_batches():
+    gen = random_generator(4, 2400)
+    grid = SectorGrid.default(0.1 * math.pi)
+    rng = np.random.default_rng(2401)
+    field = BochnerField(rng.standard_normal((4, 2)), BanachNormDescriptor(2, 2.0))
+    other_r = BochnerField(rng.standard_normal((4, 2)), BanachNormDescriptor(2, 4.0))
+    other_n = BochnerField(rng.standard_normal((5, 2)), BanachNormDescriptor(2, 2.0))
+    for maximal, nodes in _MAXIMAL_FUNCTIONS:
+        for bad in ([], [field, other_r], [field, other_n], [field, rng.standard_normal(4)]):
+            with pytest.raises(ValueError):
+                maximal(gen, bad, nodes(grid))
+
+
+def test_other_field_functions_reject_a_list_of_fields():
+    from maxlab.ergodic import ergodic_average
+    from maxlab.semigroup import imaginary_power
+    from maxlab.spectral import apply_to_field
+
+    gen = random_generator(4, 2500)
+    field = BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))
+    fields = [field, field]
+    calls = (
+        lambda: evolve(gen, 0.5 + 0.1j, fields),
+        lambda: imaginary_power(gen, 0.5, fields),
+        lambda: ergodic_average(gen, 0.5, fields),
+        lambda: apply_m_theta(gen, 0.2, 0.5, fields),
+        lambda: apply_to_field(gen.decomposition, np.ones(4), fields),
+        lambda: decomposition_residual(gen, 0.5 + 0.1j, fields),
+        lambda: pointwise_convergence_profile(gen, fields, 0.2),
+        lambda: bochner_norm(gen.space, fields, 2.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="takes one"):
+            call()
+
+
+def _reference_maximal_profile(spec, p, r, psi, d_list, trials, seed):
+    """The per-trial loop the batched experiment replaced: (c_emp, max_triangle_excess)."""
+    grid = SectorGrid.default(psi)
+    members = build_ensemble(spec, seed)
+    c_emp = []
+    max_excess = -math.inf
+    for d in d_list:
+        descriptor = BanachNormDescriptor(d, r)
+        worst = 0.0
+        for member_seed, gen in members:
+            rng = np.random.default_rng(member_seed + 13)
+            for _ in range(trials):
+                values = rng.standard_normal((gen.n, d)) + 1j * rng.standard_normal((gen.n, d))
+                field = BochnerField(values, descriptor)
+                denom = bochner_norm(gen.space, field, p)
+                maximal = lp_norm(gen.space, sector_maximal(gen, field, grid), p)
+                worst = max(worst, maximal / denom)
+                ergodic_part = lp_norm(gen.space, maximal_ergodic(gen, field, grid.radii), p)
+                multiplier_part = lp_norm(gen.space, m_theta_maximal(gen, field, grid), p)
+                excess = maximal - ergodic_part - multiplier_part - 1e-9 * denom
+                max_excess = max(max_excess, excess)
+        c_emp.append(worst)
+    return tuple(c_emp), max_excess
+
+
+@pytest.mark.parametrize("n, count, d_list, trials, theta", [
+    (8, 8, (1, 2, 4, 8, 16), 4, 0.6),
+    (48, 1, (1, 16), 3, None),
+    (3, 2, (2,), 1, None),
+])
+def test_maximal_experiment_equals_the_per_trial_loop(n, count, d_list, trials, theta):
+    spec = EnsembleSpec(n=n, count=count, kind="diffusion")
+    psi = 0.1 * math.pi
+    report = maximal_theorem_experiment(spec, 4.0, 4.0, psi, d_list=d_list, trials=trials,
+                                        seed=31, theta=theta)
+    c_emp, max_excess = _reference_maximal_profile(spec, 4.0, 4.0, psi, d_list, trials, 31)
+    assert report.c_emp == c_emp
+    assert report.max_triangle_excess == max_excess
+    assert 0.0 < report.max_relative_eigen_residual < 1e-13
 
 
 def test_pointwise_profile_identity_flow_has_no_error():

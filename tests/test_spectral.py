@@ -15,7 +15,7 @@ from maxlab.semigroup import (
     random_generator,
 )
 from maxlab.spectral import (
-    FAMILY_BLOCK,
+    FAMILY_BLOCK_ELEMENTS,
     KERNEL_SNAP_REL,
     GammaPoleError,
     MuSymmetricOperator,
@@ -365,9 +365,11 @@ def test_family_sup_matches_per_node_loop(n):
     gens = [random_generator(n, 1200 + n, kind="contraction"),
             build_ensemble(EnsembleSpec(n=n, count=1, kind="identity"), 1300 + n)[0][1]]
     assert np.all(gens[1].decomposition.eigenvalues == 0.0)
+    # the row block of a d = 16 field
+    block = FAMILY_BLOCK_ELEMENTS // 16
     for gen in gens:
         dec = gen.decomposition
-        for count in (1, FAMILY_BLOCK - 1, FAMILY_BLOCK, FAMILY_BLOCK + 1, 216):
+        for count in (1, block - 1, block, block + 1, 216):
             for gvals in _families(dec, count, rng):
                 assert gvals.shape == (count, n)
                 scalar = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -384,17 +386,57 @@ def test_family_sup_matches_per_node_loop(n):
 
 def test_family_sup_rejects_nonfinite_rows():
     gen = random_generator(4, 1400)
-    gvals = np.ones((FAMILY_BLOCK + 5, 4), dtype=complex)
-    gvals[FAMILY_BLOCK + 2, 1] = np.nan
+    gvals = np.ones((FAMILY_BLOCK_ELEMENTS + 5, 4), dtype=complex)
+    gvals[FAMILY_BLOCK_ELEMENTS + 2, 1] = np.nan
     with pytest.raises(ValueError):
         family_sup(gen.decomposition, gvals, np.ones(4), None)
-    gvals[FAMILY_BLOCK + 2, 1] = np.inf
+    gvals[FAMILY_BLOCK_ELEMENTS + 2, 1] = np.inf
     with pytest.raises(ValueError):
         family_sup(gen.decomposition, gvals, np.ones((4, 2)), 2.0)
     # one row is a family of one
     f = np.arange(4.0) + 1j
     np.testing.assert_array_equal(family_sup(gen.decomposition, np.full(4, 0.5), f, None),
                                   np.abs(apply_multiplier(gen.decomposition, np.full(4, 0.5), f)))
+
+
+def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
+    from maxlab import spectral
+
+    gen = random_generator(6, 1450)
+    gvals = np.exp(np.multiply.outer(-SectorGrid.default(0.3).points(), gen.decomposition.eigenvalues))
+    assert gvals.shape == (216, 6)
+    sizes = []
+    apply = spectral.apply_multiplier
+
+    def recording(dec, rows, values):
+        sizes.append(len(rows))
+        return apply(dec, rows, values)
+
+    monkeypatch.setattr(spectral, "apply_multiplier", recording)
+    rng = np.random.default_rng(1451)
+    # columns per point -> rows per block: 512 // columns, at least 1
+    for shape, rows in (((6,), 216), ((6, 16), 32), ((6, 4, 16), 8), ((6, 4, 1), 128),
+                        ((6, 600), 1)):
+        sizes.clear()
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        family_sup(gen.decomposition, gvals, values, 2.0)
+        assert max(sizes) == rows and sum(sizes) == 216
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_apply_multiplier_on_a_batch_equals_each_field_alone(d):
+    gen = random_generator(8, 1460)
+    dec = gen.decomposition
+    rng = np.random.default_rng(1461)
+    batch = rng.standard_normal((8, 4, d)) + 1j * rng.standard_normal((8, 4, d))
+    family = np.exp(-np.outer([0.1, 0.3, 2.0], dec.eigenvalues))
+    for gvals in (family, family[1]):
+        out = apply_multiplier(dec, gvals, batch)
+        assert out.shape == gvals.shape[:-1] + (8, 4, d)
+        for j in range(4):
+            assert np.array_equal(out[..., j, :], apply_multiplier(dec, gvals, batch[:, j]))
+    with pytest.raises(ValueError):
+        apply_multiplier(dec, family, np.ones((7, 4, d)))
 
 
 # Gamma values frozen from a 30-digit multiprecision evaluation.
