@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .core import (
     BanachNormDescriptor,
     BochnerField,
-    ToleranceConfig,
     WeightedSpace,
     bochner_norm,
     lp_norm,
@@ -41,7 +40,6 @@ from .semigroup import (
     sector_contraction_probe,
     semigroup_matrix,
     stein_angle,
-    verify_contraction_property,
 )
 from .modulus import (
     ModulusResult,
@@ -78,7 +76,7 @@ from .mellin import (
 
 __all__ = [
     "__version__",
-    "BanachNormDescriptor", "BochnerField", "ToleranceConfig", "WeightedSpace",
+    "BanachNormDescriptor", "BochnerField", "WeightedSpace",
     "bochner_norm", "lp_norm", "pointwise_sup",
     "MuSymmetricOperator", "SpectralDecomposition", "apply_multiplier",
     "complex_gamma", "decompose", "family_sup", "gamma_values", "multiplier_norm_bounds",
@@ -86,7 +84,7 @@ __all__ = [
     "ContractionSemigroupGenerator", "DiffusionGenerator", "EnsembleSpec",
     "SectorGrid", "build_ensemble", "evolve", "exemplar_contraction_generator",
     "imaginary_power", "random_generator", "sector_angles", "sector_contraction_probe",
-    "semigroup_matrix", "stein_angle", "verify_contraction_property",
+    "semigroup_matrix", "stein_angle",
     "ModulusResult", "Subdivision", "linear_modulus", "modulus_generator",
     "modulus_semigroup", "phi", "subpositivity_suite", "verify_domination",
     "ergodic_average", "hds_bound", "hds_experiment", "maximal_ergodic",

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
+    "ABS_TOL",
     "WeightedSpace",
     "BanachNormDescriptor",
     "BochnerField",
@@ -29,27 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Shared numeric tolerances.
-
-    abs_tol bounds plain floating-point residuals, quad_tol bounds
-    quadrature errors, stab_tol is the stabilisation threshold for
-    iterative limits.  All three must be strictly positive.
-    """
-
-    abs_tol: float = 1e-10
-    quad_tol: float = 1e-6
-    stab_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "quad_tol", "stab_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a strictly positive finite number, got {value!r}")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# Slack of the plain floating-point checks (mu-symmetry, diffusion signs,
+# nonnegativity, domination and subpositivity margins), relative to the
+# data's scale where a check has one.
+ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    ABS_TOL,
     BanachNormDescriptor,
     BochnerField,
-    ToleranceConfig,
     WeightedSpace,
     bochner_norm,
     lp_norm,
@@ -43,7 +42,14 @@ __all__ = [
     "subpositivity_suite",
 ]
 
+# Dyadic refinement stops once consecutive levels differ by less than
+# MODULUS_STAB_TOL in the max norm, and gives up after MODULUS_LEVEL_CAP levels.
+MODULUS_STAB_TOL = 1e-8
 MODULUS_LEVEL_CAP = 20
+
+# Times of verify_domination and angles of the positivity test in subpositivity_suite.
+DOMINATION_T_GRID = np.geomspace(1e-2, 1e1, 4)
+SUBPOSITIVITY_THETAS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
 
 class StabilizationError(RuntimeError):
@@ -145,7 +151,7 @@ def phi(gen: ContractionSemigroupGenerator, s: Subdivision, f) -> np.ndarray:
     f = f.astype(float)
     if f.shape != (gen.n,):
         raise ValueError(f"field must have shape ({gen.n},), got {f.shape}")
-    if f.min(initial=0.0) < -DEFAULT_TOL.abs_tol:
+    if f.min(initial=0.0) < -ABS_TOL:
         raise ValueError(f"phi requires f >= 0, min entry {f.min():.3e}")
     out = f.copy()
     for dt in s.increments[::-1]:
@@ -153,35 +159,31 @@ def phi(gen: ContractionSemigroupGenerator, s: Subdivision, f) -> np.ndarray:
     return out
 
 
-def modulus_semigroup(gen: ContractionSemigroupGenerator, t: float,
-                      tol: float | None = None,
-                      level_cap: int = MODULUS_LEVEL_CAP) -> ModulusResult:
+def modulus_semigroup(gen: ContractionSemigroupGenerator, t: float) -> ModulusResult:
     """Dyadic-limit modulus semigroup matrix at time t.
 
     Level m applies phi with the uniform dyadic subdivision of 2^m
     increments to every standard basis vector, which amounts to the
     2^m-th power of the modulus of one increment step (computed by
     repeated squaring).  Iteration stops when consecutive levels differ
-    by less than ``tol`` in the max norm.
+    by less than MODULUS_STAB_TOL in the max norm.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"time must be positive and finite, got {t}")
-    if tol is None:
-        tol = getattr(gen, "tol", DEFAULT_TOL).stab_tol
     prev = linear_modulus(gen.space, semigroup_matrix(gen, t))
     residual = math.inf
-    for level in range(1, level_cap + 1):
+    for level in range(1, MODULUS_LEVEL_CAP + 1):
         step = linear_modulus(gen.space, semigroup_matrix(gen, t / 2.0**level))
         current = step
         for _ in range(level):
             current = current @ current
         residual = float(np.abs(current - prev).max())
-        if residual < tol:
+        if residual < MODULUS_STAB_TOL:
             return ModulusResult(S_t=current, depth=level, residual=residual)
         prev = current
     raise StabilizationError(
-        f"dyadic refinement did not stabilise below {tol:.3e} within {level_cap} levels "
-        f"(last increment {residual:.3e})"
+        f"dyadic refinement did not stabilise below {MODULUS_STAB_TOL:.3e} within "
+        f"{MODULUS_LEVEL_CAP} levels (last increment {residual:.3e})"
     )
 
 
@@ -195,28 +197,24 @@ def modulus_generator(gen: ContractionSemigroupGenerator) -> DiffusionGenerator:
     ell = gen.matrix.copy()
     off = ~np.eye(gen.n, dtype=bool)
     ell[off] = -np.abs(ell[off])
-    return DiffusionGenerator(MuSymmetricOperator(gen.space, ell, tol=gen.tol), tol=gen.tol)
+    return DiffusionGenerator(MuSymmetricOperator(gen.space, ell))
 
 
-def verify_domination(gen: ContractionSemigroupGenerator, t_grid=None, trials: int = 20,
-                      seed: int = 0, tol: ToleranceConfig | None = None) -> DominationReport:
-    """Check |e^{-tL} f| <= S_t |f| entrywise for seeded complex fields.
+def verify_domination(gen: ContractionSemigroupGenerator, trials: int = 20,
+                      seed: int = 0) -> DominationReport:
+    """Check |e^{-tL} f| <= S_t |f| entrywise for seeded complex fields at DOMINATION_T_GRID.
 
     Fields are normalised to unit sup norm so the comparison tolerance is
     scale-free.  The L^p transfer of the domination (p in {1.5, 2, 3}) is
     checked alongside.
     """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-2, 1e1, 4)
-    if tol is None:
-        tol = getattr(gen, "tol", DEFAULT_TOL)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     worst_norm = -math.inf
     checked = 0
-    for t in np.asarray(t_grid, dtype=float):
+    for t in DOMINATION_T_GRID:
         t_matrix = semigroup_matrix(gen, t)
-        s_matrix = modulus_semigroup(gen, t, tol=tol.stab_tol).S_t
+        s_matrix = modulus_semigroup(gen, t).S_t
         for _ in range(trials):
             f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
             f /= np.abs(f).max()
@@ -227,29 +225,26 @@ def verify_domination(gen: ContractionSemigroupGenerator, t_grid=None, trials: i
                 excess = lp_norm(gen.space, t_matrix @ f, p) - lp_norm(gen.space, rhs, p)
                 worst_norm = max(worst_norm, excess)
             checked += 1
-    passed = worst <= tol.abs_tol and worst_norm <= tol.abs_tol
+    passed = worst <= ABS_TOL and worst_norm <= ABS_TOL
     return DominationReport(passed=bool(passed), max_violation=float(worst),
                             max_norm_excess=float(worst_norm), checked=checked)
 
 
 def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np.ndarray,
                         p: float, descriptor: BanachNormDescriptor, trials: int = 20,
-                        seed: int = 0, tol: ToleranceConfig | None = None,
-                        n_theta: int = 64) -> SubpositivityReport:
+                        seed: int = 0) -> SubpositivityReport:
     """Check the testable implications of subpositivity for (T, S).
 
     (a -> b): families of fields satisfy ||sup_k |T f_k|||_p <= ||sup_k |f_k|||_p.
     (a -> c): the tensor extension contracts Bochner norms.
-    (a -> d): S + Re(e^{i theta} T) is entrywise nonnegative on a theta grid.
+    (a -> d): S + Re(e^{i theta} T) is entrywise nonnegative at SUBPOSITIVITY_THETAS.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     t_matrix = np.asarray(t_matrix)
     s_matrix = np.asarray(s_matrix)
     n = space.n
     if t_matrix.shape != (n, n) or s_matrix.shape != (n, n):
         raise ValueError(f"T and S must both have shape ({n}, {n})")
-    if np.asarray(s_matrix).min() < -tol.abs_tol:
+    if np.asarray(s_matrix).min() < -ABS_TOL:
         raise ValueError("candidate majorant S must be entrywise nonnegative")
     rng = np.random.default_rng(seed)
 
@@ -259,7 +254,7 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
         family = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         lhs = lp_norm(space, pointwise_sup([np.abs(t_matrix @ g) for g in family]), p)
         rhs = lp_norm(space, pointwise_sup([np.abs(g) for g in family]), p)
-        sup_margin = max(sup_margin, lhs - rhs - tol.abs_tol * max(1.0, rhs))
+        sup_margin = max(sup_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
 
     tensor_margin = -math.inf
     for _ in range(trials):
@@ -267,17 +262,16 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
         field = BochnerField(values, descriptor)
         lhs = bochner_norm(space, field.replace_values(t_matrix @ values), p)
         rhs = bochner_norm(space, field, p)
-        tensor_margin = max(tensor_margin, lhs - rhs - tol.abs_tol * max(1.0, rhs))
+        tensor_margin = max(tensor_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     positivity_min = math.inf
-    for theta in thetas:
+    for theta in SUBPOSITIVITY_THETAS:
         entrywise = s_matrix + (np.exp(1j * theta) * t_matrix).real
         positivity_min = min(positivity_min, float(entrywise.min()))
 
     sup_passed = sup_margin <= 0.0
     tensor_passed = tensor_margin <= 0.0
-    positivity_passed = positivity_min >= -tol.abs_tol
+    positivity_passed = positivity_min >= -ABS_TOL
     return SubpositivityReport(
         passed=bool(sup_passed and tensor_passed and positivity_passed),
         sup_margin=float(sup_margin),

@@ -21,14 +21,13 @@ Riesz-Thorin upper bounds elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    ABS_TOL,
     BochnerField,
-    ToleranceConfig,
     WeightedSpace,
     fiber_norm,
     field_parts,
@@ -74,7 +73,6 @@ class MuSymmetricOperator:
 
     space: WeightedSpace
     entries: np.ndarray
-    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.entries, dtype=float)
@@ -87,7 +85,7 @@ class MuSymmetricOperator:
         w = self.space.mu[:, None] * a
         skew = np.abs(w - w.T).max()
         scale = float(np.abs(w).max())
-        if skew > self.tol.abs_tol * scale:
+        if skew > ABS_TOL * scale:
             raise ValueError(f"operator is not mu-selfadjoint: max |mu_i A_ij - mu_j A_ji| = "
                              f"{skew:.3e} at scale max |mu_i A_ij| = {scale:.3e}")
         a = a.copy()

@@ -11,6 +11,7 @@ import pytest
 from maxlab.cli import (
     COMMANDS,
     DEFAULT_SEED,
+    QUAD_TOL,
     ConfigError,
     ExperimentConfig,
     _build_parser,
@@ -66,7 +67,7 @@ def test_document_and_override_merge():
     echo = cfg.document()
     assert echo["ensemble"] == {"n": 4, "count": 3, "kind": "diffusion", "c": 1.0}
     assert set(echo) == {"command", "seed", "trials", "ensemble", "exponents",
-                         "angles", "grids", "tolerances", "output"}
+                         "angles", "grids", "output"}
 
 
 def test_config_rejections():
@@ -76,8 +77,6 @@ def test_config_rejections():
         ExperimentConfig.from_sources("hds", document={"bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sources("hds", document={"ensemble": {"shape": 3}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_sources("hds", document={"tolerances": {"abs_tol": 0.0}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sources("hds", document={"trials": 0})
     with pytest.raises(ConfigError):
@@ -239,7 +238,7 @@ def test_mellin_table_agrees_with_its_certificate(tmp_path):
 
 
 @pytest.mark.parametrize("document", ['{"ensemble": 3}', '{"grids": null}',
-                                      '{"tolerances": [1e-10]}', '{"angles": "wide"}'])
+                                      '{"exponents": [2.0]}', '{"angles": "wide"}'])
 def test_non_object_section_is_a_config_error(tmp_path, capsys, document):
     section = next(iter(json.loads(document)))
     with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
@@ -295,14 +294,52 @@ def test_main_identity_ensemble_ratios_are_exactly_one(tmp_path):
 
 
 def test_main_honest_failure_exit_code(tmp_path, capsys):
-    # the identity flow never approaches linearly, so the slope check fails
+    # a coarse quadrature misses the reconstruction tolerance
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text('{"grids": {"U": 5.0, "h": 0.8}}')
     prefix = tmp_path / "fail"
-    rc = main(["pointwise", "--kind", "identity", "--n", "3", "--count", "1",
-               "--out", str(prefix)])
+    rc = main(["mellin-table", "--config", str(coarse), "--out", str(prefix)])
     assert rc == 1
-    assert "pointwise: FAIL" in capsys.readouterr().out
+    assert "mellin-table: FAIL" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "fail.manifest.json").read_text())
     assert manifest["passed"] is False
+    assert manifest["details"]["max_reconstruction_error"] > QUAD_TOL
+
+
+def test_pointwise_rejects_the_identity_ensemble(tmp_path, capsys):
+    # L = 0: every approach error is roundoff, so the unit-slope test cannot apply
+    with pytest.raises(ConfigError, match="injective"):
+        ExperimentConfig.from_sources("pointwise", overrides={"ensemble": {"kind": "identity"}})
+    rc = main(["pointwise", "--kind", "identity", "--out", str(tmp_path / "flat")])
+    assert rc == 2
+    assert "error: pointwise needs an injective generator" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # the other commands still take it
+    ExperimentConfig.from_sources("hds", overrides={"ensemble": {"kind": "identity"}})
+
+
+def test_tolerances_section_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "tol.json"
+    path.write_text('{"tolerances": {"abs_tol": 1e-10}}')
+    assert main(["modulus", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config keys: tolerances")
+    assert not list(tmp_path.glob("x*"))
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import maxlab.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda config: ran.append(config) or 0)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["full-suite", "--out", str(blocker / "suite")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    # the check comes before the command runs
+    assert ran == []
+    assert main(["bip-plan", "--out", str(tmp_path / "new" / "dir" / "plan")]) == 0
+    assert (tmp_path / "new" / "dir").is_dir()
 
 
 def test_full_suite_rejects_keys_it_would_ignore(tmp_path, capsys):
@@ -424,3 +461,41 @@ def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command):
     assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
     for path in tmp_path.glob(f"{command}.*.csv"):
         assert "residual" not in path.read_text()
+
+
+def _verify_semigroup_rows(tmp_path, *flags):
+    prefix = tmp_path / "vs"
+    assert main(["verify-semigroup", *flags, "--out", str(prefix)]) == 0
+    with open(f"{prefix}.contraction.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    manifest = json.loads((tmp_path / "vs.manifest.json").read_text())
+    return rows, manifest
+
+
+def test_contraction_table_reports_the_dominance_margin(tmp_path):
+    from maxlab.semigroup import build_ensemble
+
+    rows, manifest = _verify_semigroup_rows(tmp_path)
+    config = ExperimentConfig.from_sources("verify-semigroup")
+    members = build_ensemble(config.ensemble, config.seed)
+    assert len(rows) == len(members) == 12
+    assert list(rows[0]) == ["trial", "seed", "n", "kind", "dominance_margin", "pass"]
+    margins = []
+    for row, (member_seed, gen) in zip(rows, members):
+        assert (row["seed"], row["kind"], row["pass"]) == (str(member_seed), "diffusion", "true")
+        # diagonal entries are nonnegative, so L_ii - sum_(j != i) |L_ij| = 2 L_ii - sum_j |L_ij|
+        a = np.array(gen.matrix)
+        want = (2.0 * np.diag(a) - np.abs(a).sum(axis=1)).min() / np.abs(a).max()
+        assert float(row["dominance_margin"]) == pytest.approx(want, rel=1e-13)
+        margins.append(float(row["dominance_margin"]))
+    assert manifest["details"]["worst_dominance_margin"] == min(margins)
+    assert 0.06 < min(margins) < max(margins) < 0.3
+    assert "worst_endpoint_norm" not in manifest["details"]
+    assert "tolerances" not in manifest["config"]
+
+
+def test_identity_contraction_table_has_margin_zero(tmp_path):
+    rows, manifest = _verify_semigroup_rows(tmp_path, "--kind", "identity", "--count", "3")
+    assert [(row["dominance_margin"], row["pass"]) for row in rows] == [("0", "true")] * 3
+    assert manifest["details"]["worst_dominance_margin"] == 0.0
+    assert manifest["passed"] is True

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from maxlab.core import (
+    ABS_TOL,
     BanachNormDescriptor,
     BochnerField,
-    ToleranceConfig,
     WeightedSpace,
     bochner_norm,
     fiber_norm,
@@ -38,15 +38,13 @@ def test_weighted_space_mass_is_readonly():
         sp.mu[0] = 5.0
 
 
-def test_tolerance_config_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ToleranceConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(quad_tol=-1e-9)
-    cfg = ToleranceConfig()
-    assert cfg.abs_tol == 1e-10
-    assert cfg.quad_tol == 1e-6
-    assert cfg.stab_tol == 1e-8
+def test_verdict_slacks_are_fixed_constants():
+    from maxlab.cli import QUAD_TOL
+    from maxlab.modulus import MODULUS_STAB_TOL
+
+    assert ABS_TOL == 1e-10
+    assert QUAD_TOL == 1e-6
+    assert MODULUS_STAB_TOL == 1e-8
 
 
 def test_lp_norm_frozen_values():

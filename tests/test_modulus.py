@@ -136,14 +136,22 @@ def test_modulus_semigroup_two_step_consistency():
     np.testing.assert_allclose(s2, s1 @ s1, atol=1e-6)
 
 
-def test_modulus_semigroup_rejects_bad_time_and_tight_cap():
+def test_modulus_semigroup_rejects_bad_time_and_tight_cap(monkeypatch):
+    import maxlab.modulus as modulus
+
     gen = random_generator(4, 16, kind="contraction")
     with pytest.raises(ValueError):
         modulus_semigroup(gen, 0.0)
     with pytest.raises(ValueError):
         modulus_semigroup(gen, -1.0)
+    depth = modulus_semigroup(gen, 1.0).depth
+    # the cap is read at call time: one level short of the depth needed fails
+    monkeypatch.setattr(modulus, "MODULUS_LEVEL_CAP", depth - 1)
+    with pytest.raises(StabilizationError, match=f"within {depth - 1} levels"):
+        modulus_semigroup(gen, 1.0)
+    monkeypatch.setattr(modulus, "MODULUS_LEVEL_CAP", 0)
     with pytest.raises(StabilizationError):
-        modulus_semigroup(gen, 1.0, level_cap=0)
+        modulus_semigroup(gen, 1.0)
 
 
 def test_modulus_generator_structure():
@@ -176,9 +184,12 @@ def test_verify_domination_over_ensemble():
         assert report.checked == 4 * 10
 
 
-def test_verify_domination_custom_grid_count():
+def test_verify_domination_custom_grid_count(monkeypatch):
+    import maxlab.modulus as modulus
+
     gen = random_generator(4, 20, kind="contraction")
-    report = verify_domination(gen, t_grid=np.array([0.1, 1.0]), trials=3, seed=0)
+    monkeypatch.setattr(modulus, "DOMINATION_T_GRID", np.array([0.1, 1.0]))
+    report = verify_domination(gen, trials=3, seed=0)
     assert report.checked == 6
 
 

@@ -1,13 +1,14 @@
 """Tests for generators, semigroup evolution, sector probes and imaginary powers."""
 
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from maxlab.core import DEFAULT_TOL, BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
+from maxlab.core import ABS_TOL, BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
 from maxlab.spectral import (
     MuSymmetricOperator,
     decompose,
@@ -15,7 +16,6 @@ from maxlab.spectral import (
     operator_norm_lower_bound,
 )
 from maxlab.semigroup import (
-    DEFAULT_T_GRID,
     ContractionSemigroupGenerator,
     DiffusionGenerator,
     EnsembleSpec,
@@ -31,8 +31,41 @@ from maxlab.semigroup import (
     sector_status,
     semigroup_matrix,
     stein_angle,
-    verify_contraction_property,
 )
+
+# The sampled contraction check, kept as the oracle of the exact dominance
+# check made at construction: ||exp(-t L)|| <= 1 + ABS_TOL at p = 1 and
+# p = inf on 24 geometric times spanning [1e-3, 1e2].
+DEFAULT_T_GRID = np.geomspace(1e-3, 1e2, 24)
+
+
+@dataclass(frozen=True)
+class ContractionReport:
+    """Outcome of the sampled contraction check over a time grid."""
+
+    passed: bool
+    worst_norm: float
+    worst_t: float
+
+
+def verify_contraction_property(gen, t_grid=DEFAULT_T_GRID) -> ContractionReport:
+    """Largest endpoint norm of exp(-t L) over the grid; an overflowing exp(-t lambda)
+    (a negative eigenvalue) fails with an infinite norm."""
+    lam_min = float(gen.decomposition.eigenvalues.min())
+    worst = -math.inf
+    worst_t = float(t_grid[0])
+    for t in np.asarray(t_grid, dtype=float):
+        with np.errstate(over="ignore"):
+            growth = np.exp(-t * lam_min)
+        if not np.isfinite(growth):
+            return ContractionReport(passed=False, worst_norm=math.inf, worst_t=float(t))
+        m = semigroup_matrix(gen, t)
+        for p in (1.0, math.inf):
+            norm = operator_norm(gen.space, m, p)
+            if norm > worst:
+                worst, worst_t = norm, float(t)
+    return ContractionReport(passed=bool(worst <= 1.0 + ABS_TOL), worst_norm=float(worst),
+                             worst_t=worst_t)
 
 
 def test_random_generator_structure():
@@ -86,14 +119,17 @@ def test_random_generator_decomposes_once_per_draw(monkeypatch):
         for n in (1, 2, 6):
             calls.clear()
             gen = random_generator(n, 40 + n, kind=kind)
+            # the contraction check at construction needs no decomposition
+            assert calls == []
+            assert gen.decomposition.eigenvalues.size == n
             assert len(calls) == 1
             assert calls[0] is gen.operator
-            # the draw's decomposition is the cached one
-            assert gen.decomposition.eigenvalues.size == n
+            # later uses read the cached one
+            assert gen.decomposition is gen.decomposition
             assert len(calls) == 1
     calls.clear()
     build_ensemble(EnsembleSpec(n=4, count=5, kind="contraction"), 3)
-    assert len(calls) == 5
+    assert calls == []
 
 
 def test_spectrum_stays_above_five_percent_of_the_rate():
@@ -215,9 +251,9 @@ def _constructs(op):
 
 
 def _loosely_constructs(op):
-    """Dominance and spectrum checked at abs_tol * max|L| instead of rounding level."""
+    """Dominance and spectrum checked at ABS_TOL * max|L| instead of rounding level."""
     a = op.entries
-    tol = DEFAULT_TOL.abs_tol * np.abs(a).max()
+    tol = ABS_TOL * np.abs(a).max()
     off = np.abs(a)
     np.fill_diagonal(off, 0.0)
     return bool((a.diagonal() - off.sum(axis=1)).min() >= -tol
@@ -243,29 +279,79 @@ def test_construction_agrees_with_the_sampled_contraction_check(dominance_sample
 
 
 def test_loose_dominance_tolerance_misses_sampled_failures(dominance_sample):
-    # negative control: abs_tol * max|L| accepts deficits the grid check exposes
+    # negative control: ABS_TOL * max|L| accepts deficits the grid check exposes
     assert _grid_rejects_but_accepted(_loosely_constructs, dominance_sample)
     assert _accepted_but_a_grid_fails(_loosely_constructs, dominance_sample)
 
 
+def test_spectrum_is_bounded_below_by_the_dominance_margin(dominance_sample):
+    # Gershgorin: every eigenvalue of a constructed generator is at least
+    # dominance_margin * max|L|, so a separate spectrum check could reject nothing
+    constructed = 0
+    for c, margin, op, _, _ in dominance_sample:
+        if not _constructs(op):
+            continue
+        constructed += 1
+        gen = ContractionSemigroupGenerator(op)
+        # unsnapped spectrum of the symmetric conjugate D^(1/2) L D^(-1/2)
+        s = np.sqrt(op.space.mu)
+        m = (s[:, None] * op.entries) / s[None, :]
+        lam_min = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
+        scale = np.abs(op.entries).max()
+        rounding = 4.0 * op.n * np.finfo(float).eps * scale
+        assert lam_min >= gen.dominance_margin * scale - rounding, (c, margin)
+    assert constructed > 0
+
+
+def test_dominance_margin_values():
+    sp = WeightedSpace(np.array([1.0, 2.0]))
+    assert DiffusionGenerator(MuSymmetricOperator(sp, np.zeros((2, 2)))).dominance_margin == 0.0
+    # rows exactly at dominance
+    assert exemplar_contraction_generator().dominance_margin == 0.0
+    # rows 2 - 1 and 1.5 - 0.5 at max|L| = 2
+    op = MuSymmetricOperator(sp, np.array([[2.0, -1.0], [-0.5, 1.5]]))
+    assert DiffusionGenerator(op).dominance_margin == 0.5
+    for kind in ("diffusion", "contraction"):
+        for seed in range(5):
+            gen = random_generator(6, 60 + seed, kind=kind, c=1e6)
+            assert 0.0 < gen.dominance_margin < 1.0
+            assert gen.dominance_margin * np.abs(gen.matrix).max() \
+                <= gen.decomposition.eigenvalues.min() * (1.0 + 1e-12)
+
+
+def test_sampled_oracle_passes_on_every_default_member():
+    from maxlab.cli import ExperimentConfig
+
+    config = ExperimentConfig.from_sources("verify-semigroup")
+    members = build_ensemble(config.ensemble, config.seed)
+    assert len(members) == 12
+    for _, gen in members:
+        report = verify_contraction_property(gen)
+        assert report.passed
+        assert report.worst_norm <= 1.0 + ABS_TOL
+        assert gen.dominance_margin > 0.0
+
+
 def test_construction_never_samples_the_contraction_grid(monkeypatch, tmp_path):
     import maxlab.cli as cli
+    import maxlab.modulus as modulus
     import maxlab.semigroup as semigroup
-    from maxlab.modulus import modulus_generator
+    import maxlab.spectral as spectral
 
     calls = []
 
-    def counted(gen, *args, **kwargs):
-        calls.append(gen)
-        return verify_contraction_property(gen, *args, **kwargs)
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup, "verify_contraction_property", counted)
-    monkeypatch.setattr(cli, "verify_contraction_property", counted)
+    # the sampled check evaluates exp(-t L) and its endpoint norms on a time grid
+    for module in (semigroup, cli, modulus):
+        monkeypatch.setattr(module, "semigroup_matrix", counted(semigroup_matrix))
+    monkeypatch.setattr(spectral, "operator_norm", counted(operator_norm))
     for kind in ("diffusion", "contraction"):
-        modulus_generator(random_generator(6, 12, kind=kind))
+        modulus.modulus_generator(random_generator(6, 12, kind=kind))
     assert calls == []
     assert cli.main(["verify-semigroup", "--count", "3", "--out", str(tmp_path / "vs")]) == 0
-    assert len(calls) == 3
+    assert calls == []
 
 
 def test_semigroup_matrix_against_dense_exponential():
