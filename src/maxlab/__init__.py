@@ -11,7 +11,6 @@ from .core import (
     WeightedSpace,
     bochner_norm,
     lp_norm,
-    pointwise_sup,
 )
 from .spectral import (
     MuSymmetricOperator,
@@ -32,6 +31,7 @@ from .semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    check_sector_angle,
     evolve,
     exemplar_contraction_generator,
     imaginary_power,
@@ -43,11 +43,8 @@ from .semigroup import (
 )
 from .modulus import (
     ModulusResult,
-    Subdivision,
     linear_modulus,
-    modulus_generator,
     modulus_semigroup,
-    phi,
     subpositivity_suite,
     verify_domination,
 )
@@ -77,16 +74,16 @@ from .mellin import (
 __all__ = [
     "__version__",
     "BanachNormDescriptor", "BochnerField", "WeightedSpace",
-    "bochner_norm", "lp_norm", "pointwise_sup",
+    "bochner_norm", "lp_norm",
     "MuSymmetricOperator", "SpectralDecomposition", "apply_multiplier",
     "complex_gamma", "decompose", "family_sup", "gamma_values", "multiplier_norm_bounds",
     "operator_norm", "operator_norm_lower_bound", "spectral_matrix",
     "ContractionSemigroupGenerator", "DiffusionGenerator", "EnsembleSpec",
-    "SectorGrid", "build_ensemble", "evolve", "exemplar_contraction_generator",
-    "imaginary_power", "random_generator", "sector_angles", "sector_contraction_probe",
-    "semigroup_matrix", "stein_angle",
-    "ModulusResult", "Subdivision", "linear_modulus", "modulus_generator",
-    "modulus_semigroup", "phi", "subpositivity_suite", "verify_domination",
+    "SectorGrid", "build_ensemble", "check_sector_angle", "evolve",
+    "exemplar_contraction_generator", "imaginary_power", "random_generator",
+    "sector_angles", "sector_contraction_probe", "semigroup_matrix", "stein_angle",
+    "ModulusResult", "linear_modulus", "modulus_semigroup", "subpositivity_suite",
+    "verify_domination",
     "ergodic_average", "hds_bound", "hds_experiment", "maximal_ergodic",
     "BipPlan", "BipPlanError", "bip_plan", "decay_constant",
     "decomposition_residual", "imaginary_power_estimate", "m_theta",

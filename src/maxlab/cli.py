@@ -36,12 +36,11 @@ from .core import (
     bochner_norm,
     lp_norm,
 )
-from .ergodic import (
-    default_time_grid,
-    hds_bound,
-    hds_experiment,
-)
+from .ergodic import hds_bound, hds_experiment
 from .mellin import (
+    DECAY_U_NODES,
+    DEFAULT_QUAD_H,
+    DEFAULT_QUAD_U,
     BipPlanError,
     bip_plan,
     decay_constant,
@@ -52,6 +51,7 @@ from .mellin import (
     m_theta,
     n_hat_table,
     pointwise_convergence_profile,
+    truncation_bound,
 )
 from .modulus import (
     modulus_semigroup,
@@ -59,16 +59,17 @@ from .modulus import (
     verify_domination,
 )
 from .semigroup import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    check_sector_angle,
     exemplar_contraction_generator,
     imaginary_power,
     random_generator,
     sector_angles,
     sector_contraction_probe,
     semigroup_matrix,
-    stein_angle,
 )
 from .spectral import complex_gamma, eigen_residual
 
@@ -92,6 +93,10 @@ DEFAULT_SEED = 20260817
 # `mellin-table` and criterion 04.
 QUAD_TOL = 1e-6
 
+# Window of the log-log slope of the pointwise approach error that passes, in
+# `pointwise` and criterion 11.
+SLOPE_WINDOW = (0.8, 1.2)
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -104,7 +109,7 @@ _BASE_DEFAULTS = {
     "exponents": {"p": [2.0], "r": 2.0, "d": [4]},
     "angles": {"psi": 0.25 * math.pi, "theta": None},
     "grids": {"t_min": 1e-3, "t_max": 1e2, "n_radii": 24, "n_angles": 9,
-              "U": 40.0, "h": 0.01},
+              "U": DEFAULT_QUAD_U, "h": DEFAULT_QUAD_H},
     "output": None,
 }
 
@@ -112,17 +117,19 @@ _COMMAND_DEFAULTS = {
     "verify-semigroup": {"ensemble": {"count": 12}},
     "modulus": {"ensemble": {"kind": "contraction", "count": 25, "n": 6}},
     "hds": {"exponents": {"p": [1.5, 2.0, 3.0]}, "trials": 2},
-    "mellin-table": {"angles": {"psi": 0.25 * math.pi}},
     "maximal": {"exponents": {"p": [4.0], "r": 4.0, "d": [1, 2, 4, 8, 16]},
                 "angles": {"psi": 0.1 * math.pi, "theta": 0.6},
                 "ensemble": {"count": 8}, "trials": 4},
     "pointwise": {"angles": {"psi": 0.1 * math.pi}, "trials": 1},
     "bip-plan": {"exponents": {"p": [4.0], "r": 4.0}, "angles": {"psi": 0.1 * math.pi}},
-    "full-suite": {},
 }
 
 # The only config keys the fixed full-suite battery reads.
 _FULL_SUITE_KEYS = ("seed", "output")
+
+# Commands that read only one value of a list-valued exponent key.
+_ONE_VALUE_KEYS = {"exponents.p": ("modulus", "maximal", "bip-plan"),
+                   "exponents.d": ("modulus", "hds", "pointwise")}
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -170,7 +177,7 @@ class ExperimentConfig:
                      overrides: dict | None = None) -> "ExperimentConfig":
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-        merged = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS[command])
+        merged = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS.get(command, {}))
         for source in (document or {}, overrides or {}):
             _require_keys("config", source, tuple(_BASE_DEFAULTS))
             ignored = sorted(set(source) - set(_FULL_SUITE_KEYS))
@@ -237,22 +244,21 @@ class ExperimentConfig:
         return config
 
     def _validate_preconditions(self) -> None:
+        for key, values in (("exponents.p", self.p_list), ("exponents.d", self.d_list)):
+            if len(values) > 1 and self.command in _ONE_VALUE_KEYS[key]:
+                raise ConfigError(f"{self.command} reads one value of {key}, "
+                                  f"got {len(values)}: {list(values)}")
         if self.command == "pointwise" and self.ensemble.kind == "identity":
             raise ConfigError("pointwise needs an injective generator, since its unit-slope "
                               "test assumes ker L = 0; ensemble.kind = identity gives L = 0")
-        if self.command in ("verify-semigroup", "maximal"):
-            for p in self.p_list:
-                limit = stein_angle(p)
-                if self.psi > limit + 1e-15:
-                    raise ConfigError(
-                        f"angles.psi = {self.psi:.6f} exceeds the contraction sector "
-                        f"angle {limit:.6f} at p = {p}"
-                    )
-        if self.command in ("maximal", "bip-plan"):
-            try:
+        try:
+            if self.command in ("verify-semigroup", "maximal"):
+                for p in self.p_list:
+                    check_sector_angle(p, self.psi)
+            if self.command in ("maximal", "bip-plan"):
                 bip_plan(self.p_list[0], self.r, self.psi, theta=self.theta)
-            except BipPlanError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def document(self) -> dict:
         """Config echo for the manifest: the keys the command reads."""
@@ -370,8 +376,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
 
 
 def _cmd_modulus(config: ExperimentConfig):
-    t_star, result, exemplar_err, deviation = _modulus_exemplar()
-    passed = exemplar_err <= 1e-8 and deviation < 1e-6
+    t_star, result, exemplar_err, deviation, passed = _modulus_exemplar()
     exemplar_rows = [(t_star, exemplar_err, deviation, result.depth, result.residual)]
 
     members = build_ensemble(config.ensemble, config.seed)
@@ -406,8 +411,8 @@ def _cmd_modulus(config: ExperimentConfig):
 
 def _cmd_hds(config: ExperimentConfig):
     descriptor = BanachNormDescriptor(config.d_list[0], config.r)
-    result = hds_experiment(config.ensemble, config.p_list, t_grid=default_time_grid(),
-                            trials=config.trials, seed=config.seed, descriptor=descriptor)
+    result = hds_experiment(config.ensemble, config.p_list, trials=config.trials,
+                            seed=config.seed, descriptor=descriptor)
     details = {
         f"max_ratio_p_{report.p:g}": max(report.ratios) for report in result.reports
     }
@@ -418,7 +423,7 @@ def _cmd_hds(config: ExperimentConfig):
 
 
 def _cmd_mellin_table(config: ExperimentConfig):
-    u_grid = np.linspace(-config.quad_U, config.quad_U, 801)
+    u_grid = np.linspace(-config.quad_U, config.quad_U, DECAY_U_NODES)
     certificate = decay_constant(config.psi, u_grid=u_grid, n_theta=config.n_angles)
     thetas = sector_angles(config.psi, config.n_angles)
     values, ratios = n_hat_table(thetas, u_grid)
@@ -428,11 +433,14 @@ def _cmd_mellin_table(config: ExperimentConfig):
 
     recon_rows = _reconstruction_rows(config.quad_U, config.quad_h, config.psi)
     max_err = max(err for _, _, err in recon_rows)
+    tail = max(truncation_bound(theta, config.quad_U, certificate.constant)
+               for theta, _, _ in recon_rows)
     passed = bool(certificate.stable and max_err <= QUAD_TOL)
     details = {"decay_constant": certificate.constant,
                "decay_refined": certificate.refined_constant,
                "decay_rel_change": certificate.rel_change,
-               "max_reconstruction_error": max_err}
+               "max_reconstruction_error": max_err,
+               "max_truncation_bound": tail}
     tables = {
         "multiplier": (("theta", "u", "re", "im", "bound_ratio"), multiplier_rows),
         "reconstruction": (("theta", "lambda", "abs_error"), recon_rows),
@@ -467,7 +475,7 @@ def _cmd_pointwise(config: ExperimentConfig):
         field = _random_bochner(rng, gen.n, config.d_list[0], config.r)
         profile = pointwise_convergence_profile(gen, field, config.psi,
                                                 n_angles=config.n_angles)
-        in_range = bool(0.8 <= profile.slope <= 1.2)
+        in_range = bool(SLOPE_WINDOW[0] <= profile.slope <= SLOPE_WINDOW[1])
         passed = passed and in_range
         for rho, err in zip(profile.radii, profile.errors):
             profile_rows.append((index, member_seed, float(rho), float(err)))
@@ -498,7 +506,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    metrics: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
 
 
@@ -531,7 +538,6 @@ def criterion_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         name="decomposition-identity", passed=bool(passed),
         detail=f"max residual ratio {worst:.3e} over 500 seeded (gen, z, F) triples (tol 1e-10)",
-        metrics={"max_ratio": worst},
         tables={"c01_decomposition": (("trial", "n", "d", "z_re", "z_im", "residual", "ratio"), rows)},
     )
 
@@ -555,7 +561,6 @@ def criterion_hds(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="maximal-ergodic-bound", passed=bool(passed),
         detail=(f"200 diffusion generators, worst ratio-bound margin {worst_margin:.3e} "
                 f"(must be <= 1e-9); |hds_bound(2) - 2*sqrt(2)| = {bound_err:.1e}"),
-        metrics={"worst_margin": worst_margin, "bound_error": bound_err},
         tables={"c02_hds": (("seed", "n", "p", "ratio", "bound", "pass"), rows)},
     )
 
@@ -575,7 +580,6 @@ def criterion_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="gamma-identities", passed=bool(passed),
         detail=(f"max |identity - 1| = {worst:.3e} on u in {{0.1,...,10}} (tol 1e-9); "
                 f"|Gamma(1)-1| = {gamma_one:.1e}, |Gamma(1/2)-sqrt(pi)| = {gamma_half:.1e}"),
-        metrics={"identity_error": worst, "gamma_one": gamma_one, "gamma_half": gamma_half},
         tables={"c03_gamma": (("u", "identity_minus_one"), rows)},
     )
 
@@ -599,32 +603,23 @@ def criterion_mellin(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     The refinement behaviour is measured from coarse baselines where the
     quadrature error is orders of magnitude above the floating-point
-    floor; at the default operating point (U = 40, h = 0.01) the error
-    already sits at that floor.
+    floor; at the default window (DEFAULT_QUAD_U, DEFAULT_QUAD_H) the
+    error already sits at that floor.
     """
-    err_default = _reconstruction_max_error(40.0, 0.01)
-    err_coarse_h = _reconstruction_max_error(40.0, 0.8)
-    err_half_h = _reconstruction_max_error(40.0, 0.4)
-    err_coarse_u = _reconstruction_max_error(20.0, 0.01)
-    err_more_u = _reconstruction_max_error(30.0, 0.01)
+    quad_u, quad_h = DEFAULT_QUAD_U, DEFAULT_QUAD_H
+    rows = [(case, u, h, _reconstruction_max_error(u, h))
+            for case, u, h in (("default", quad_u, quad_h), ("coarse_h", quad_u, 0.8),
+                               ("half_h", quad_u, 0.4), ("coarse_U", 20.0, quad_h),
+                               ("more_U", 30.0, quad_h))]
+    err_default, err_coarse_h, err_half_h, err_coarse_u, err_more_u = (row[3] for row in rows)
     halves = err_half_h <= 0.5 * err_coarse_h
     u_decreases = err_more_u < err_coarse_u
     passed = err_default <= QUAD_TOL and halves and u_decreases
-    rows = [
-        ("default", 40.0, 0.01, err_default),
-        ("coarse_h", 40.0, 0.8, err_coarse_h),
-        ("half_h", 40.0, 0.4, err_half_h),
-        ("coarse_U", 20.0, 0.01, err_coarse_u),
-        ("more_U", 30.0, 0.01, err_more_u),
-    ]
     return CriterionResult(
         name="mellin-reconstruction", passed=bool(passed),
-        detail=(f"max error {err_default:.3e} at (U=40, h=0.01) on 25 log-lambda x 5 theta "
-                f"(tol 1e-6); halving h: {err_coarse_h:.3e} -> {err_half_h:.3e}; "
+        detail=(f"max error {err_default:.3e} at (U={quad_u:g}, h={quad_h:g}) on 25 log-lambda "
+                f"x 5 theta (tol 1e-6); halving h: {err_coarse_h:.3e} -> {err_half_h:.3e}; "
                 f"U+10: {err_coarse_u:.3e} -> {err_more_u:.3e}"),
-        metrics={"err_default": err_default, "err_coarse_h": err_coarse_h,
-                 "err_half_h": err_half_h, "err_coarse_u": err_coarse_u,
-                 "err_more_u": err_more_u},
         tables={"c04_mellin": (("case", "U", "h", "max_error"), rows)},
     )
 
@@ -639,14 +634,14 @@ def criterion_decay(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="decay-certificate", passed=bool(passed),
         detail=(f"constant {certificate.constant:.6f}, refined {certificate.refined_constant:.6f}, "
                 f"relative change {certificate.rel_change:.2e} (< 5%)"),
-        metrics={"constant": certificate.constant, "rel_change": certificate.rel_change},
         tables={"c05_decay": (("psi", "constant", "refined", "rel_change", "stable"), rows)},
     )
 
 
 def _modulus_exemplar() -> tuple:
     """The 2x2 exemplar at t* = log(2)/2: (t*, its ModulusResult, the max error against
-    [[3/4, 1/4], [1/4, 3/4]], the max deviation |S_{2t*} - S_{t*}^2|)."""
+    [[3/4, 1/4], [1/4, 3/4]], the max deviation |S_{2t*} - S_{t*}^2|, and the verdict on
+    both), shared by `modulus` and criterion 06."""
     gen = exemplar_contraction_generator()
     t_star = 0.5 * math.log(2.0)
     result = modulus_semigroup(gen, t_star)
@@ -654,12 +649,12 @@ def _modulus_exemplar() -> tuple:
     exemplar_err = float(np.abs(result.S_t - expected).max())
     double = modulus_semigroup(gen, 2.0 * t_star)
     deviation = float(np.abs(double.S_t - result.S_t @ result.S_t).max())
-    return t_star, result, exemplar_err, deviation
+    return t_star, result, exemplar_err, deviation, exemplar_err <= 1e-8 and deviation < 1e-6
 
 
 def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Exemplar modulus matrix, 500-trial domination, semigroup deviation."""
-    _, _, exemplar_err, deviation = _modulus_exemplar()
+    _, _, exemplar_err, deviation, exemplar_ok = _modulus_exemplar()
 
     rows = []
     worst_violation = -math.inf
@@ -672,15 +667,12 @@ def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
         worst_violation = max(worst_violation, report.max_violation)
         checked += report.checked
         rows.append((index, n, report.max_violation, report.max_norm_excess, report.passed))
-    passed = exemplar_err <= 1e-8 and deviation < 1e-6 and worst_violation <= ABS_TOL \
-        and checked >= 500
+    passed = exemplar_ok and worst_violation <= ABS_TOL and checked >= 500
     return CriterionResult(
         name="modulus-semigroup", passed=bool(passed),
         detail=(f"exemplar error {exemplar_err:.3e} (tol 1e-8), semigroup deviation "
                 f"{deviation:.3e} (tol 1e-6), worst domination violation {worst_violation:.3e} "
                 f"over {checked} trials"),
-        metrics={"exemplar_error": exemplar_err, "deviation": deviation,
-                 "worst_violation": worst_violation, "checked": checked},
         tables={"c06_modulus": (("trial", "n", "max_violation", "max_norm_excess", "pass"), rows)},
     )
 
@@ -712,7 +704,6 @@ def criterion_subpositivity(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="subpositivity", passed=bool(passed),
         detail=(f"all three implications hold on 200 seeded contractions; "
                 f"negative control (2I) fails the sup-family inequality: {control_ok}"),
-        metrics={"control_failed_as_expected": control_ok},
         tables={"c07_subpositivity": (("trial", "n", "t", "sup_margin", "tensor_margin",
                                        "positivity_min", "pass"), rows)},
     )
@@ -721,7 +712,6 @@ def criterion_subpositivity(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_imaginary_powers(seed: int = DEFAULT_SEED) -> CriterionResult:
     """L^2 isometry of L^{iu}; at p = 4 the growth angle through the upper bounds is below pi/2."""
     u_grid = np.linspace(-5.0, 5.0, 21)
-    iso_rows = []
     worst_iso = 0.0
     rng = np.random.default_rng(seed + 53)
     for index in range(20):
@@ -733,7 +723,6 @@ def criterion_imaginary_powers(seed: int = DEFAULT_SEED) -> CriterionResult:
                 deviation = abs(lp_norm(gen.space, imaginary_power(gen, float(u), f), 2.0)
                                 - base) / base
                 worst_iso = max(worst_iso, deviation)
-        iso_rows.append((index, worst_iso))
 
     fit_rows = []
     worst_omega = worst_omega_ub = 0.0
@@ -751,8 +740,6 @@ def criterion_imaginary_powers(seed: int = DEFAULT_SEED) -> CriterionResult:
                 f"at p=4 omega from lower bounds {worst_omega:.4f} <= omega "
                 f"<= {worst_omega_ub:.4f} from Riesz-Thorin upper bounds "
                 f"< pi/2 = {math.pi / 2.0:.4f}"),
-        metrics={"worst_isometry_deviation": worst_iso, "worst_omega": worst_omega,
-                 "worst_omega_ub": worst_omega_ub},
         tables={"c08_imaginary": (("trial", "K", "omega", "omega_ub"), fit_rows)},
     )
 
@@ -780,7 +767,6 @@ def criterion_planner(seed: int = DEFAULT_SEED) -> CriterionResult:
         detail=(f"(2,2,0,theta=0.5) -> (q=2, sigma=3pi/4, omega=3pi/8) to {err_a:.1e}; "
                 f"(4,4,0.1pi,theta=0.6) -> (q=12, omega=0.35pi) to {err_b:.1e}; "
                 f"theta=0.4 rejected: {rejected}"),
-        metrics={"err_a": err_a, "err_b": err_b, "rejected": rejected},
         tables={"c09_planner": (("p", "r", "psi", "theta", "q", "sigma", "omega"), rows)},
     )
 
@@ -796,9 +782,6 @@ def criterion_dimension_uniformity(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="dimension-uniformity", passed=bool(report.passed),
         detail=(f"C_emp(16)/C_emp(1) = {report.uniformity_ratio:.4f} (<= 2); "
                 f"max triangle excess {report.max_triangle_excess:.3e} (<= 0)"),
-        metrics={"uniformity_ratio": report.uniformity_ratio,
-                 "max_triangle_excess": report.max_triangle_excess,
-                 "c_emp": dict(zip((str(d) for d in report.d_list), report.c_emp))},
         tables={"c10_cemp": (("d", "c_emp"), rows)},
     )
 
@@ -814,7 +797,7 @@ def criterion_pointwise(seed: int = DEFAULT_SEED) -> CriterionResult:
         fld = _random_bochner(rng, 8, 4)
         profile = pointwise_convergence_profile(gen, fld, 0.1 * math.pi)
         monotone = bool(np.all(np.diff(profile.errors) <= 1e-12))
-        in_range = bool(0.8 <= profile.slope <= 1.2)
+        in_range = bool(SLOPE_WINDOW[0] <= profile.slope <= SLOPE_WINDOW[1])
         passed = passed and monotone and in_range
         worst_slope_dev = max(worst_slope_dev, abs(profile.slope - 1.0))
         rows.append((index, profile.slope, monotone, in_range))
@@ -822,7 +805,6 @@ def criterion_pointwise(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="pointwise-convergence", passed=bool(passed),
         detail=(f"50 profiles non-increasing with slope within 1 +/- 0.2; "
                 f"worst |slope - 1| = {worst_slope_dev:.3f}"),
-        metrics={"worst_slope_deviation": worst_slope_dev},
         tables={"c11_pointwise": (("trial", "slope", "monotone", "in_range"), rows)},
     )
 
@@ -845,7 +827,6 @@ def criterion_determinism(seed: int = DEFAULT_SEED) -> CriterionResult:
         name="determinism", passed=bool(passed),
         detail="regenerated decomposition table is byte-identical" if passed
         else "rerun produced different bytes",
-        metrics={"identical": passed},
         tables={"c12_determinism": (("table", "bytes", "identical"), rows)},
     )
 
@@ -922,8 +903,7 @@ _OVERRIDE_FLAGS = (
     ("out", "output", {"help": "override the output path prefix"}),
     ("n", "ensemble.n", {"type": int, "help": "override the ensemble dimension"}),
     ("count", "ensemble.count", {"type": int, "help": "override the ensemble size"}),
-    ("kind", "ensemble.kind", {"choices": ("diffusion", "contraction", "identity"),
-                               "help": "override the ensemble kind"}),
+    ("kind", "ensemble.kind", {"choices": ENSEMBLE_KINDS, "help": "override the ensemble kind"}),
     ("c", "ensemble.c", {"type": float, "help": "override the ensemble rate scale"}),
     ("p", "exponents.p", {"type": float, "action": "append",
                           "help": "override the exponent list (repeatable)"}),

@@ -24,7 +24,6 @@ __all__ = [
     "field_parts",
     "bochner_norm",
     "fiber_norm",
-    "pointwise_sup",
 ]
 
 
@@ -193,23 +192,3 @@ def bochner_norm(space: WeightedSpace, field, p: float) -> float:
     """Weighted L^p norm of the per-point fiber norms of a Bochner or scalar field."""
     values, r = field_parts(space, field)
     return lp_norm(space, values if r is None else fiber_norm(values, r), p)
-
-
-def pointwise_sup(fields) -> np.ndarray:
-    """Pointwise supremum of finitely many real scalar fields."""
-    fields = list(fields)
-    if not fields:
-        raise ValueError("pointwise_sup needs at least one field")
-    arrays = []
-    for f in fields:
-        a = np.asarray(f)
-        if np.iscomplexobj(a):
-            if np.any(a.imag != 0):
-                raise ValueError("pointwise_sup expects real fields")
-            a = a.real
-        arrays.append(a.astype(float, copy=False))
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        raise ValueError("fields must share one shape")
-    return np.maximum.reduce(arrays)
-

@@ -35,10 +35,10 @@ from .semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    check_sector_angle,
     _imaginary_power_values,
     evolve,
     sector_angles,
-    stein_angle,
 )
 from .spectral import (
     apply_multiplier,
@@ -72,8 +72,14 @@ __all__ = [
     "imaginary_power_estimate",
 ]
 
+# Default quadrature window: the Mellin integral runs over [-U, U] with step h,
+# and the decay scan samples the same window at DECAY_U_NODES points.
 DEFAULT_QUAD_U = 40.0
 DEFAULT_QUAD_H = 0.01
+DECAY_U_NODES = 801
+
+# Distance of the planner's default theta above its floor max(|2/p - 1|, |2/r - 1|).
+BIP_THETA_MARGIN = 0.05
 
 
 class BipPlanError(ValueError):
@@ -220,7 +226,7 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
     if not (0.0 <= psi < math.pi / 2.0):
         raise ValueError(f"psi must lie in [0, pi/2), got {psi}")
     if u_grid is None:
-        u_grid = np.linspace(-40.0, 40.0, 801)
+        u_grid = np.linspace(-DEFAULT_QUAD_U, DEFAULT_QUAD_U, DECAY_U_NODES)
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.size == 0:
         raise ValueError("u grid must be nonempty")
@@ -345,12 +351,11 @@ def sector_maximal(gen, field, grid: SectorGrid) -> np.ndarray:
     return family_sup(dec, np.exp(np.multiply.outer(-grid.points(), dec.eigenvalues)), values, r)
 
 
-def bip_plan(p: float, r: float, psi: float, theta: float | None = None,
-             margin: float = 0.05) -> BipPlan:
+def bip_plan(p: float, r: float, psi: float, theta: float | None = None) -> BipPlan:
     """Interpolation plan (theta, q, sigma, omega) for the sector bounds.
 
     Without an explicit theta the minimal admissible value
-    max(|2/p - 1|, |2/r - 1|) plus the margin is chosen, capped so that
+    max(|2/p - 1|, |2/r - 1|) plus BIP_THETA_MARGIN is chosen, capped so that
     psi < (pi/2)(1 - theta) still holds.  All plan invariants are
     verified; impossible hypotheses raise BipPlanError naming the
     violated inequality.
@@ -385,7 +390,7 @@ def bip_plan(p: float, r: float, psi: float, theta: float | None = None,
                 f"no admissible theta: max(|2/p - 1|, |2/r - 1|) = {theta_min} "
                 f">= 1 - 2 psi/pi = {theta_cap}"
             )
-        theta = theta_min + margin
+        theta = theta_min + BIP_THETA_MARGIN
         if theta >= theta_cap:
             theta = 0.5 * (theta_min + theta_cap)
     q = theta / (1.0 / p - (1.0 - theta) / 2.0)
@@ -418,11 +423,8 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
     r = float(r)
     if math.isinf(r):
         raise ValueError("maximal experiments require a finite fiber exponent r")
+    check_sector_angle(p, psi)
     plan = bip_plan(p, r, psi, theta=theta)
-    if psi > stein_angle(p) + 1e-15:
-        raise ValueError(
-            f"psi = {psi} exceeds the contraction sector angle {stein_angle(p)} at p = {p}"
-        )
     d_list = [int(d) for d in d_list]
     if not d_list or min(d_list) < 1:
         raise ValueError("d list must be nonempty with positive dimensions")

@@ -1,12 +1,12 @@
-"""Linear modulus and the subdivision construction of the modulus semigroup.
+"""Linear modulus and the dyadic construction of the modulus semigroup.
 
 The linear modulus of a matrix operator on a finite weighted space is the
 entrywise absolute value; it shares the weighted endpoint norms of the
-operator and dominates it pointwise.  Stacking moduli of small evolution
-steps along a subdivision of [0, t] and refining dyadically produces the
-smallest positive semigroup dominating the original one.  Only the
-uniform dyadic chain is enumerated; the distance to the directed-set
-supremum is monitored through the stabilisation residual.
+operator and dominates it pointwise.  Multiplying the moduli of 2^m equal
+evolution steps of [0, t] and refining dyadically produces the smallest
+positive semigroup dominating the original one.  Only the uniform dyadic
+chain is enumerated; the distance to the directed-set supremum is
+monitored through the stabilisation residual.
 """
 
 from __future__ import annotations
@@ -23,21 +23,16 @@ from .core import (
     WeightedSpace,
     bochner_norm,
     lp_norm,
-    pointwise_sup,
 )
-from .semigroup import ContractionSemigroupGenerator, DiffusionGenerator, semigroup_matrix
-from .spectral import MuSymmetricOperator
+from .semigroup import ContractionSemigroupGenerator, semigroup_matrix
 
 __all__ = [
-    "Subdivision",
     "ModulusResult",
     "StabilizationError",
     "DominationReport",
     "SubpositivityReport",
     "linear_modulus",
-    "phi",
     "modulus_semigroup",
-    "modulus_generator",
     "verify_domination",
     "subpositivity_suite",
 ]
@@ -54,41 +49,6 @@ SUBPOSITIVITY_THETAS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
 class StabilizationError(RuntimeError):
     """Dyadic refinement failed to stabilise within the level cap."""
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    """Partition 0 = s_0 < s_1 < ... < s_n = t of the interval [0, t]."""
-
-    t: float
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = float(self.t)
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValueError(f"subdivision length must be positive and finite, got {t}")
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("a subdivision needs at least the two endpoints")
-        if pts[0] != 0.0 or pts[-1] != t:
-            raise ValueError("subdivision endpoints must be exactly 0 and t")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("subdivision points must be strictly increasing")
-        object.__setattr__(self, "t", t)
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform_dyadic(cls, t: float, level: int) -> "Subdivision":
-        """2^level equal increments; level 0 is the single interval [0, t]."""
-        if level < 0:
-            raise ValueError("dyadic level must be >= 0")
-        return cls(t, np.linspace(0.0, float(t), 2**level + 1))
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.points)
 
 
 @dataclass(frozen=True)
@@ -136,37 +96,15 @@ def linear_modulus(space: WeightedSpace, t_matrix: np.ndarray) -> np.ndarray:
     return np.abs(t_matrix)
 
 
-def phi(gen: ContractionSemigroupGenerator, s: Subdivision, f) -> np.ndarray:
-    """Product of increment moduli along the subdivision, applied to f >= 0.
-
-    The factors are ordered as written: the modulus of the first increment
-    acts last.  Refining the subdivision can only increase the result
-    entrywise.
-    """
-    f = np.asarray(f)
-    if np.iscomplexobj(f):
-        if np.any(f.imag != 0):
-            raise ValueError("phi expects a real nonnegative field")
-        f = f.real
-    f = f.astype(float)
-    if f.shape != (gen.n,):
-        raise ValueError(f"field must have shape ({gen.n},), got {f.shape}")
-    if f.min(initial=0.0) < -ABS_TOL:
-        raise ValueError(f"phi requires f >= 0, min entry {f.min():.3e}")
-    out = f.copy()
-    for dt in s.increments[::-1]:
-        out = linear_modulus(gen.space, semigroup_matrix(gen, dt)) @ out
-    return out
-
-
 def modulus_semigroup(gen: ContractionSemigroupGenerator, t: float) -> ModulusResult:
     """Dyadic-limit modulus semigroup matrix at time t.
 
-    Level m applies phi with the uniform dyadic subdivision of 2^m
-    increments to every standard basis vector, which amounts to the
-    2^m-th power of the modulus of one increment step (computed by
-    repeated squaring).  Iteration stops when consecutive levels differ
-    by less than MODULUS_STAB_TOL in the max norm.
+    Level m is the product of the moduli of the 2^m equal increments of
+    [0, t], that is the 2^m-th power of the modulus of one increment step
+    (computed by repeated squaring).  Iteration stops when consecutive
+    levels differ by less than MODULUS_STAB_TOL in the max norm.  The limit
+    is exp(-t L_hat), where L_hat keeps the diagonal of L and replaces each
+    off-diagonal entry by minus its absolute value.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -185,19 +123,6 @@ def modulus_semigroup(gen: ContractionSemigroupGenerator, t: float) -> ModulusRe
         f"dyadic refinement did not stabilise below {MODULUS_STAB_TOL:.3e} within "
         f"{MODULUS_LEVEL_CAP} levels (last increment {residual:.3e})"
     )
-
-
-def modulus_generator(gen: ContractionSemigroupGenerator) -> DiffusionGenerator:
-    """Diffusion generator of the modulus semigroup.
-
-    Keeps the diagonal of L and replaces every off-diagonal entry by minus
-    its absolute value; the dyadic construction stabilises on the
-    semigroup of this generator.
-    """
-    ell = gen.matrix.copy()
-    off = ~np.eye(gen.n, dtype=bool)
-    ell[off] = -np.abs(ell[off])
-    return DiffusionGenerator(MuSymmetricOperator(gen.space, ell))
 
 
 def verify_domination(gen: ContractionSemigroupGenerator, trials: int = 20,
@@ -252,8 +177,8 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
     for _ in range(trials):
         k = int(rng.integers(2, 6))
         family = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-        lhs = lp_norm(space, pointwise_sup([np.abs(t_matrix @ g) for g in family]), p)
-        rhs = lp_norm(space, pointwise_sup([np.abs(g) for g in family]), p)
+        lhs = lp_norm(space, np.maximum.reduce([np.abs(t_matrix @ g) for g in family]), p)
+        rhs = lp_norm(space, np.maximum.reduce([np.abs(g) for g in family]), p)
         sup_margin = max(sup_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
 
     tensor_margin = -math.inf

@@ -39,14 +39,15 @@ __all__ = [
     "SectorGrid",
     "sector_angles",
     "EnsembleSpec",
+    "ENSEMBLE_KINDS",
     "random_generator",
     "build_ensemble",
     "exemplar_contraction_generator",
     "semigroup_matrix",
     "evolve",
     "imaginary_power",
-    "imaginary_power_matrix",
     "stein_angle",
+    "check_sector_angle",
     "sector_status",
     "sector_contraction_probe",
 ]
@@ -220,6 +221,10 @@ class SectorGrid:
                            for t in self.radii for th in self.angles])
 
 
+# Generator families an EnsembleSpec can name.
+ENSEMBLE_KINDS = ("diffusion", "contraction", "identity")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Recipe for a seeded family of generators."""
@@ -234,7 +239,7 @@ class EnsembleSpec:
             raise ValueError(f"ensemble size n must be a positive integer, got {self.n!r}")
         if not (isinstance(self.count, (int, np.integer)) and self.count >= 1):
             raise ValueError(f"ensemble count must be a positive integer, got {self.count!r}")
-        if self.kind not in ("diffusion", "contraction", "identity"):
+        if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if not (float(self.c) > 0.0 and math.isfinite(float(self.c))):
             raise ValueError(f"rate scale c must be positive and finite, got {self.c!r}")
@@ -335,12 +340,6 @@ def imaginary_power(gen, u: float, f):
     return apply_to_field(gen.decomposition, gvals, f)
 
 
-def imaginary_power_matrix(gen, u: float) -> np.ndarray:
-    """Matrix of L^(iu) under the kernel convention 0^(iu) := 1."""
-    gvals = _imaginary_power_values(gen.decomposition.eigenvalues, float(u))
-    return spectral_matrix(gen.decomposition, gvals)
-
-
 def stein_angle(p: float) -> float:
     """Half-angle pi * (1/2 - |1/p - 1/2|) of the contraction sector at exponent p."""
     p = float(p)
@@ -349,22 +348,25 @@ def stein_angle(p: float) -> float:
     return math.pi * (0.5 - abs(1.0 / p - 0.5))
 
 
+def check_sector_angle(p: float, psi: float) -> None:
+    """Raise ValueError unless the half-angle psi lies within stein_angle(p), up to rounding."""
+    limit = stein_angle(p)
+    if psi > limit + 1e-15:
+        raise ValueError(f"sector half-angle psi = {float(psi)!r} exceeds the contraction "
+                         f"sector angle {limit!r} at p = {float(p):g}")
+
+
 def sector_contraction_probe(gen, p: float, psi: float, grid: SectorGrid | None = None,
                              trials: int = 40, seed: int = 0) -> SectorProbeReport:
     """Bound ||exp(-z L)||_p from both sides on a sector grid (multiplier_norm_bounds).
 
-    The half-angle must not exceed the contraction sector angle for the
-    exponent.  Each node gets a sector_status; the probe passes when no
-    node is refuted.
+    The half-angle must pass check_sector_angle for the exponent.  Each node
+    gets a sector_status; the probe passes when no node is refuted.
     """
-    limit = stein_angle(p)
     psi = float(psi)
     if psi < 0.0:
         raise ValueError("sector half-angle must be nonnegative")
-    if psi > limit + 1e-15:
-        raise ValueError(
-            f"half-angle {psi:.6f} exceeds the contraction sector angle {limit:.6f} at p = {p}"
-        )
+    check_sector_angle(p, psi)
     if grid is None:
         grid = SectorGrid.default(psi)
     nodes = grid.points()

@@ -1,0 +1,46 @@
+"""Reference constructions that only the tests use.
+
+Each is a second route to a quantity that `maxlab` computes another way:
+the modulus generator to the dyadic modulus semigroup, the product of
+increment moduli to its repeated squaring, and the dense L^(iu) matrix to
+the spectral calculus on fields.
+"""
+
+import numpy as np
+
+from maxlab.semigroup import DiffusionGenerator, semigroup_matrix
+from maxlab.spectral import MuSymmetricOperator, spectral_matrix
+
+
+def modulus_generator(gen) -> DiffusionGenerator:
+    """Diffusion generator of the modulus semigroup.
+
+    Keeps the diagonal of L and replaces every off-diagonal entry by minus
+    its absolute value; the dyadic construction stabilises on the
+    semigroup of this generator.
+    """
+    ell = gen.matrix.copy()
+    off = ~np.eye(gen.n, dtype=bool)
+    ell[off] = -np.abs(ell[off])
+    return DiffusionGenerator(MuSymmetricOperator(gen.space, ell))
+
+
+def dyadic_modulus_product(gen, t: float, level: int, f) -> np.ndarray:
+    """Product of |exp(-dt L)| over the 2^level equal steps dt of [0, t], applied to f >= 0.
+
+    The step of the first interval acts last.  Refining can only increase
+    the result entrywise.
+    """
+    out = np.asarray(f, dtype=float)
+    for dt in np.diff(np.linspace(0.0, float(t), 2**level + 1))[::-1]:
+        out = np.abs(semigroup_matrix(gen, dt)) @ out
+    return out
+
+
+def imaginary_power_matrix(gen, u: float) -> np.ndarray:
+    """Matrix of L^(iu) under the kernel convention 0^(iu) := 1."""
+    lam = gen.decomposition.eigenvalues
+    gvals = np.ones(lam.shape, dtype=complex)
+    pos = lam > 0.0
+    gvals[pos] = np.exp(1j * float(u) * np.log(lam[pos]))
+    return spectral_matrix(gen.decomposition, gvals)

@@ -19,6 +19,15 @@ from maxlab.cli import (
     _overrides_from_args,
     main,
 )
+from maxlab.mellin import BipPlanError, maximal_theorem_experiment, truncation_bound
+from maxlab.semigroup import (
+    ENSEMBLE_KINDS,
+    EnsembleSpec,
+    SectorGrid,
+    random_generator,
+    sector_contraction_probe,
+    stein_angle,
+)
 
 
 def test_command_roster():
@@ -235,6 +244,10 @@ def test_mellin_table_agrees_with_its_certificate(tmp_path):
         ratios = [float(row["bound_ratio"]) for row in csv.DictReader(handle)]
     assert len(ratios) == 9 * 801
     assert max(ratios) == manifest["details"]["decay_constant"]
+    # the tail bound of the widest reconstruction angle, theta = pi/4
+    tail = manifest["details"]["max_truncation_bound"]
+    assert math.isfinite(tail) and tail > 0.0
+    assert tail == truncation_bound(0.25 * math.pi, 40.0, manifest["details"]["decay_constant"])
 
 
 @pytest.mark.parametrize("document", ['{"ensemble": 3}', '{"grids": null}',
@@ -499,3 +512,72 @@ def test_identity_contraction_table_has_margin_zero(tmp_path):
     assert [(row["dominance_margin"], row["pass"]) for row in rows] == [("0", "true")] * 3
     assert manifest["details"]["worst_dominance_margin"] == 0.0
     assert manifest["passed"] is True
+
+
+def test_three_entry_points_share_the_sector_rule(tmp_path, capsys):
+    p = 4.0
+    limit = stein_angle(p)
+    past = limit + 1e-9
+    gen = random_generator(4, 3)
+    spec = EnsembleSpec(n=4, count=1)
+    with pytest.raises(ValueError) as probe:
+        sector_contraction_probe(gen, p, past, trials=2)
+    with pytest.raises(ValueError) as maximal:
+        maximal_theorem_experiment(spec, p, p, past, trials=1)
+    message = str(probe.value)
+    assert "exceeds the contraction sector angle" in message
+    assert str(maximal.value) == message
+    for command in ("verify-semigroup", "maximal"):
+        out = tmp_path / command
+        assert main([command, "--p", "4", "--psi", repr(past), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+    # exactly at the angle the rule accepts
+    grid = SectorGrid.default(limit, n_radii=3, n_angles=3)
+    assert sector_contraction_probe(gen, p, limit, grid=grid, trials=2).passed
+    out = tmp_path / "edge"
+    assert main(["verify-semigroup", "--p", "4", "--psi", repr(limit), "--n", "4",
+                 "--count", "1", "--trials", "2", "--out", str(out)]) == 0
+    # the planner's own hypothesis psi < (pi/2)(1 - theta) fails from Stein's angle on
+    with pytest.raises(BipPlanError):
+        maximal_theorem_experiment(spec, p, p, limit, trials=1)
+
+
+def test_kind_flag_offers_the_ensemble_kinds():
+    kind = next(action for action in _build_parser()._actions if action.dest == "kind")
+    assert tuple(kind.choices) == ENSEMBLE_KINDS
+    for name in ENSEMBLE_KINDS:
+        assert ExperimentConfig.from_sources("hds", overrides={"ensemble": {"kind": name}})
+
+
+@pytest.mark.parametrize("command, key, document", [
+    ("bip-plan", "exponents.p", {"exponents": {"p": [2.0, 4.0]}}),
+    ("maximal", "exponents.p", {"exponents": {"p": [4.0, 1.2]}}),
+    ("modulus", "exponents.p", {"exponents": {"p": [2.0, 3.0]}}),
+    ("modulus", "exponents.d", {"exponents": {"d": [2, 4]}}),
+    ("hds", "exponents.d", {"exponents": {"d": [1, 4]}}),
+    ("pointwise", "exponents.d", {"exponents": {"d": [4, 8]}}),
+])
+def test_one_value_exponent_keys_reject_lists(tmp_path, capsys, command, key, document):
+    # these commands read only the first value, so a longer list is a config error
+    pattern = f"^{command} reads one value of {re.escape(key)}"
+    with pytest.raises(ConfigError, match=pattern):
+        ExperimentConfig.from_sources(command, document=document)
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert re.search(pattern, capsys.readouterr().err.removeprefix("error: "))
+    assert not list(tmp_path.glob("x*"))
+
+
+def test_repeated_p_flag_is_refused_where_one_p_is_read(tmp_path, capsys):
+    assert main(["bip-plan", "--p", "2", "--p", "4", "--out", str(tmp_path / "b")]) == 2
+    assert "bip-plan reads one value of exponents.p" in capsys.readouterr().err
+    assert main(["maximal", "--p", "4", "--p", "1.2", "--out", str(tmp_path / "m")]) == 2
+    assert "maximal reads one value of exponents.p" in capsys.readouterr().err
+    # commands that read every value still take lists
+    assert ExperimentConfig.from_sources("verify-semigroup",
+                                         overrides={"exponents": {"p": [4.0, 1.5]}})
+    assert ExperimentConfig.from_sources("hds", document={"exponents": {"p": [1.5, 3.0]}})
+    assert ExperimentConfig.from_sources("maximal", document={"exponents": {"d": [1, 2]}})

@@ -14,7 +14,6 @@ from maxlab.core import (
     fiber_norm,
     field_parts,
     lp_norm,
-    pointwise_sup,
 )
 
 
@@ -126,17 +125,6 @@ def test_single_column_field_matches_scalar_norm():
     field = BochnerField(f[:, None], BanachNormDescriptor(1, 2.0))
     for p in (1.0, 2.0, math.inf):
         assert bochner_norm(sp, field, p) == pytest.approx(lp_norm(sp, f, p), rel=1e-14)
-
-
-def test_pointwise_sup():
-    a = np.array([1.0, 5.0, 2.0])
-    b = np.array([4.0, 1.0, 2.5])
-    np.testing.assert_allclose(pointwise_sup([a, b]), [4.0, 5.0, 2.5])
-    with pytest.raises(ValueError):
-        pointwise_sup([np.array([1.0 + 1j])])
-    # real-valued complex input is accepted
-    np.testing.assert_allclose(pointwise_sup([np.array([2.0 + 0j])]), [2.0])
-
 
 
 def test_field_parts_stacks_a_batch_of_fields():

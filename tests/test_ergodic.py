@@ -7,7 +7,6 @@ import pytest
 
 from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, bochner_norm, fiber_norm, \
     lp_norm
-from maxlab.modulus import modulus_generator
 from maxlab.spectral import MuSymmetricOperator
 from maxlab.semigroup import DiffusionGenerator, EnsembleSpec, build_ensemble, evolve, random_generator
 from maxlab.ergodic import (
@@ -18,6 +17,7 @@ from maxlab.ergodic import (
     hds_experiment,
     maximal_ergodic,
 )
+from oracles import modulus_generator
 
 
 def test_ergodic_average_against_midpoint_riemann_sum():

@@ -28,7 +28,6 @@ from maxlab.semigroup import (
     SectorGrid,
     build_ensemble,
     evolve,
-    imaginary_power_matrix,
     random_generator,
     stein_angle,
 )
@@ -49,6 +48,7 @@ from maxlab.mellin import (
     sector_maximal,
     truncation_bound,
 )
+from oracles import imaginary_power_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -409,8 +409,12 @@ def test_maximal_experiment_validation():
         maximal_theorem_experiment(spec, 4.0, math.inf, 0.1 * math.pi)
     with pytest.raises(ValueError):
         maximal_theorem_experiment(spec, 4.0, 4.0, 0.1 * math.pi, d_list=[])
-    with pytest.raises(BipPlanError):
+    # past Stein's angle the sector rule answers before the planner, whose
+    # hypotheses fail there too; the planner still rejects a theta at its floor
+    with pytest.raises(ValueError, match="exceeds the contraction sector angle"):
         maximal_theorem_experiment(spec, 4.0, 4.0, 0.45 * math.pi)
+    with pytest.raises(BipPlanError):
+        maximal_theorem_experiment(spec, 4.0, 4.0, 0.1 * math.pi, theta=0.4)
 
 
 def test_maximal_experiment_rejects_zero_trials():

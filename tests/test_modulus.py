@@ -17,14 +17,12 @@ from maxlab.semigroup import (
 )
 from maxlab.modulus import (
     StabilizationError,
-    Subdivision,
     linear_modulus,
-    modulus_generator,
     modulus_semigroup,
-    phi,
     subpositivity_suite,
     verify_domination,
 )
+from oracles import dyadic_modulus_product, modulus_generator
 
 
 def test_linear_modulus_is_entrywise_absolute_value():
@@ -47,57 +45,23 @@ def test_linear_modulus_domination_is_attained():
         assert abs(np.abs(t @ f)[i] - (m @ g)[i]) <= 1e-14
 
 
-def test_subdivision_validation():
-    with pytest.raises(ValueError):
-        Subdivision(1.0, np.array([0.0, 0.5, 0.9]))
-    with pytest.raises(ValueError):
-        Subdivision(1.0, np.array([0.1, 1.0]))
-    with pytest.raises(ValueError):
-        Subdivision(1.0, np.array([0.0, 0.6, 0.4, 1.0]))
-    with pytest.raises(ValueError):
-        Subdivision(-1.0, np.array([0.0, -1.0]))
-    with pytest.raises(ValueError):
-        Subdivision(1.0, np.array([1.0]))
-
-
-def test_uniform_dyadic_subdivision():
-    s = Subdivision.uniform_dyadic(2.0, 3)
-    assert s.points.size == 9
-    np.testing.assert_allclose(s.increments, np.full(8, 0.25), atol=1e-15)
-    with pytest.raises(ValueError):
-        Subdivision.uniform_dyadic(1.0, -1)
-
-
-def test_phi_matches_power_of_increment_modulus():
+def test_dyadic_product_matches_power_of_step_modulus():
     gen = random_generator(5, 11, kind="contraction")
     f = np.array([0.3, 1.2, 0.0, 2.0, 0.7])
     for level in range(4):
-        s = Subdivision.uniform_dyadic(1.3, level)
         step = np.abs(semigroup_matrix(gen, 1.3 / 2**level))
-        np.testing.assert_allclose(phi(gen, s, f), matrix_power(step, 2**level) @ f,
-                                   atol=1e-12)
+        np.testing.assert_allclose(dyadic_modulus_product(gen, 1.3, level, f),
+                                   matrix_power(step, 2**level) @ f, atol=1e-12)
 
 
-def test_phi_rejects_bad_fields():
-    gen = random_generator(3, 12, kind="contraction")
-    s = Subdivision.uniform_dyadic(1.0, 1)
-    with pytest.raises(ValueError):
-        phi(gen, s, np.array([1.0, -0.5, 0.0]))
-    with pytest.raises(ValueError):
-        phi(gen, s, np.array([1.0, 1.0 + 0.1j, 0.0]))
-    # a complex dtype with vanishing imaginary part is accepted
-    out = phi(gen, s, np.array([1.0 + 0.0j, 0.5, 0.0]))
-    assert out.dtype == float
-
-
-def test_phi_increases_under_refinement():
+def test_dyadic_product_increases_under_refinement():
     # the triangle inequality makes dyadic refinement entrywise monotone
     for seed in range(5):
         gen = random_generator(4, 900 + seed, kind="contraction")
         f = np.abs(np.random.default_rng(seed).standard_normal(4))
-        prev = phi(gen, Subdivision.uniform_dyadic(0.8, 0), f)
+        prev = dyadic_modulus_product(gen, 0.8, 0, f)
         for level in range(1, 5):
-            cur = phi(gen, Subdivision.uniform_dyadic(0.8, level), f)
+            cur = dyadic_modulus_product(gen, 0.8, level, f)
             assert np.all(cur >= prev - 1e-12)
             prev = cur
 

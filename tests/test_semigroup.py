@@ -24,7 +24,6 @@ from maxlab.semigroup import (
     evolve,
     exemplar_contraction_generator,
     imaginary_power,
-    imaginary_power_matrix,
     random_generator,
     sector_angles,
     sector_contraction_probe,
@@ -32,6 +31,7 @@ from maxlab.semigroup import (
     semigroup_matrix,
     stein_angle,
 )
+from oracles import imaginary_power_matrix, modulus_generator
 
 # The sampled contraction check, kept as the oracle of the exact dominance
 # check made at construction: ||exp(-t L)|| <= 1 + ABS_TOL at p = 1 and
@@ -348,7 +348,7 @@ def test_construction_never_samples_the_contraction_grid(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "semigroup_matrix", counted(semigroup_matrix))
     monkeypatch.setattr(spectral, "operator_norm", counted(operator_norm))
     for kind in ("diffusion", "contraction"):
-        modulus.modulus_generator(random_generator(6, 12, kind=kind))
+        modulus_generator(random_generator(6, 12, kind=kind))
     assert calls == []
     assert cli.main(["verify-semigroup", "--count", "3", "--out", str(tmp_path / "vs")]) == 0
     assert calls == []
@@ -523,6 +523,24 @@ def test_sector_probe_keeps_the_per_node_lower_bounds(p, psi):
         assert status == sector_status(lb, ub)
     assert report.worst_norm == max(row[3] for row in report.rows)
     assert report.worst_upper == max(row[4] for row in report.rows)
+
+
+def test_real_time_nodes_take_the_real_exponential():
+    # on the real axis exp(-t L) is a real matrix; its p = 2 norm must be read
+    # from numpy's real exp, bit for bit, as semigroup_matrix builds it
+    from maxlab.cli import DEFAULT_SEED
+
+    grid = SectorGrid.default(0.25 * math.pi)
+    real_nodes = 0
+    for member_seed, gen in build_ensemble(EnsembleSpec(n=8, count=8), DEFAULT_SEED):
+        report = sector_contraction_probe(gen, 2.0, 0.25 * math.pi, grid=grid, trials=8,
+                                          seed=member_seed)
+        lam = gen.decomposition.eigenvalues
+        for z_re, z_im, _, lb, ub, _ in report.rows:
+            if z_im == 0.0:
+                assert lb == ub == np.exp(-z_re * lam).max()
+                real_nodes += 1
+    assert real_nodes == 8 * grid.radii.size
 
 
 def test_sector_status_rule():
