@@ -10,9 +10,9 @@ cannot be written included.  CSV bodies are deterministic functions of
 the config (17 significant digits, '.' decimal, no timing columns);
 timings live only in the manifest.
 
-``full-suite`` runs the whole acceptance battery and takes no config
-key other than ``seed`` and ``output``; it writes the criterion tables,
-the manifest and a ``<prefix>.summary.json``.  The per-criterion
+Each command takes and echoes only the config keys it reads (``_READS``).
+``full-suite`` runs the whole acceptance battery; it writes the criterion
+tables, the manifest and a ``<prefix>.summary.json``.  The per-criterion
 functions are also imported directly by the test-suite.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -106,7 +107,7 @@ _BASE_DEFAULTS = {
     "seed": DEFAULT_SEED,
     "trials": 8,
     "ensemble": {"n": 8, "count": 50, "kind": "diffusion", "c": 1.0},
-    "exponents": {"p": [2.0], "r": 2.0, "d": [4]},
+    "exponents": {"p": [2.0], "r": 2.0, "d": 4},
     "angles": {"psi": 0.25 * math.pi, "theta": None},
     "grids": {"t_min": 1e-3, "t_max": 1e2, "n_radii": 24, "n_angles": 9,
               "U": DEFAULT_QUAD_U, "h": DEFAULT_QUAD_H},
@@ -115,21 +116,35 @@ _BASE_DEFAULTS = {
 
 _COMMAND_DEFAULTS = {
     "verify-semigroup": {"ensemble": {"count": 12}},
-    "modulus": {"ensemble": {"kind": "contraction", "count": 25, "n": 6}},
+    "modulus": {"ensemble": {"kind": "contraction", "count": 25, "n": 6},
+                "exponents": {"p": 2.0}},
     "hds": {"exponents": {"p": [1.5, 2.0, 3.0]}, "trials": 2},
-    "maximal": {"exponents": {"p": [4.0], "r": 4.0, "d": [1, 2, 4, 8, 16]},
+    "maximal": {"exponents": {"p": 4.0, "r": 4.0, "d": [1, 2, 4, 8, 16]},
                 "angles": {"psi": 0.1 * math.pi, "theta": 0.6},
                 "ensemble": {"count": 8}, "trials": 4},
-    "pointwise": {"angles": {"psi": 0.1 * math.pi}, "trials": 1},
-    "bip-plan": {"exponents": {"p": [4.0], "r": 4.0}, "angles": {"psi": 0.1 * math.pi}},
+    "pointwise": {"angles": {"psi": 0.1 * math.pi}},
+    "bip-plan": {"exponents": {"p": 4.0, "r": 4.0}, "angles": {"psi": 0.1 * math.pi}},
 }
 
-# The only config keys the fixed full-suite battery reads.
-_FULL_SUITE_KEYS = ("seed", "output")
-
-# Commands that read only one value of a list-valued exponent key.
-_ONE_VALUE_KEYS = {"exponents.p": ("modulus", "maximal", "bip-plan"),
-                   "exponents.d": ("modulus", "hds", "pointwise")}
+# The config keys each command reads: a section names its keys, a top-level
+# key maps to ().  Any other key is a config error, the manifest echoes
+# exactly these, and where the command's default of exponents.p or .d is one
+# value, a list of more is refused.
+_SAMPLED = {"seed": (), "trials": (), "ensemble": ("n", "count", "kind", "c")}
+_SECTOR_GRID = ("t_min", "t_max", "n_radii", "n_angles")
+_READS = {command: {**reads, "output": ()} for command, reads in {
+    "verify-semigroup": {**_SAMPLED, "exponents": ("p",), "angles": ("psi",),
+                         "grids": _SECTOR_GRID},
+    "modulus": {**_SAMPLED, "exponents": ("p", "r", "d")},
+    "hds": {**_SAMPLED, "exponents": ("p", "r", "d")},
+    "mellin-table": {"angles": ("psi",), "grids": ("n_angles", "U", "h")},
+    "maximal": {**_SAMPLED, "exponents": ("p", "r", "d"), "angles": ("psi", "theta"),
+                "grids": _SECTOR_GRID},
+    "pointwise": {"seed": (), "ensemble": _SAMPLED["ensemble"], "exponents": ("r", "d"),
+                  "angles": ("psi",), "grids": ("n_angles",)},
+    "bip-plan": {"exponents": ("p", "r"), "angles": ("psi", "theta")},
+    "full-suite": {"seed": ()},
+}.items()}
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -142,13 +157,20 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _require_keys(section: str, given: dict, allowed: tuple) -> None:
+def _require_keys(command: str, section: str, given: dict, allowed: tuple) -> None:
     if not isinstance(given, dict):
         raise ConfigError(f"{section} must be a JSON object, got {given!r}")
     unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {section} keys: {', '.join(unknown)} "
-                          f"(allowed: {', '.join(allowed)})")
+                          f"({command} reads: {', '.join(allowed)})")
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -177,26 +199,22 @@ class ExperimentConfig:
                      overrides: dict | None = None) -> "ExperimentConfig":
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-        merged = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS.get(command, {}))
+        merged = defaults = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS.get(command, {}))
+        reads = _READS[command]
         for source in (document or {}, overrides or {}):
-            _require_keys("config", source, tuple(_BASE_DEFAULTS))
-            ignored = sorted(set(source) - set(_FULL_SUITE_KEYS))
-            if command == "full-suite" and ignored:
-                raise ConfigError(f"full-suite runs a fixed battery and takes only seed and "
-                                  f"output; it would ignore: {', '.join(ignored)}")
+            _require_keys(command, "config", source, tuple(reads))
+            for section in (key for key, keys in reads.items() if keys and key in source):
+                _require_keys(command, section, source[section], reads[section])
             merged = _deep_merge(merged, source)
 
-        for section, defaults in _BASE_DEFAULTS.items():
-            if isinstance(defaults, dict):
-                _require_keys(section, merged[section], tuple(defaults))
-
         try:
-            seed = int(merged["seed"])
-            trials = int(merged["trials"])
+            seed = _integer("seed", merged["seed"])
+            trials = _integer("trials", merged["trials"])
             if trials < 1:
                 raise ValueError("trials must be >= 1")
             ens = merged["ensemble"]
-            ensemble = EnsembleSpec(n=int(ens["n"]), count=int(ens["count"]),
+            ensemble = EnsembleSpec(n=_integer("ensemble.n", ens["n"]),
+                                    count=_integer("ensemble.count", ens["count"]),
                                     kind=str(ens["kind"]), c=float(ens["c"]))
             raw_p = merged["exponents"]["p"]
             p_list = tuple(float(p) for p in (raw_p if isinstance(raw_p, (list, tuple)) else [raw_p]))
@@ -209,7 +227,8 @@ class ExperimentConfig:
             if not (1.0 < r < math.inf):
                 raise ValueError(f"fiber exponent r must satisfy 1 < r < inf, got {r}")
             raw_d = merged["exponents"]["d"]
-            d_list = tuple(int(d) for d in (raw_d if isinstance(raw_d, (list, tuple)) else [raw_d]))
+            d_list = tuple(_integer("exponents.d", d)
+                           for d in (raw_d if isinstance(raw_d, (list, tuple)) else [raw_d]))
             if not d_list or min(d_list) < 1:
                 raise ValueError("exponents.d must be a nonempty list of positive dimensions")
             psi = float(merged["angles"]["psi"])
@@ -222,8 +241,8 @@ class ExperimentConfig:
             t_max = float(grids["t_max"])
             if not (0.0 < t_min < t_max):
                 raise ValueError(f"grids need 0 < t_min < t_max, got ({t_min}, {t_max})")
-            n_radii = int(grids["n_radii"])
-            n_angles = int(grids["n_angles"])
+            n_radii = _integer("grids.n_radii", grids["n_radii"])
+            n_angles = _integer("grids.n_angles", grids["n_angles"])
             if n_radii < 1 or n_angles < 1:
                 raise ValueError("grids need n_radii >= 1 and n_angles >= 1")
             quad_u = float(grids["U"])
@@ -234,6 +253,10 @@ class ExperimentConfig:
             raise
         except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
+        for key, values in (("p", p_list), ("d", d_list)):
+            if len(values) > 1 and not isinstance(defaults["exponents"][key], list):
+                raise ConfigError(f"{command} reads one value of exponents.{key}, "
+                                  f"got {len(values)}: {list(values)}")
 
         output = merged["output"] or os.path.join("maxlab-out", command)
         config = cls(command=command, seed=seed, trials=trials, ensemble=ensemble,
@@ -244,10 +267,6 @@ class ExperimentConfig:
         return config
 
     def _validate_preconditions(self) -> None:
-        for key, values in (("exponents.p", self.p_list), ("exponents.d", self.d_list)):
-            if len(values) > 1 and self.command in _ONE_VALUE_KEYS[key]:
-                raise ConfigError(f"{self.command} reads one value of {key}, "
-                                  f"got {len(values)}: {list(values)}")
         if self.command == "pointwise" and self.ensemble.kind == "identity":
             raise ConfigError("pointwise needs an injective generator, since its unit-slope "
                               "test assumes ker L = 0; ensemble.kind = identity gives L = 0")
@@ -274,9 +293,9 @@ class ExperimentConfig:
                       "n_angles": self.n_angles, "U": self.quad_U, "h": self.quad_h},
             "output": self.output,
         }
-        if self.command == "full-suite":
-            return {key: echo[key] for key in ("command",) + _FULL_SUITE_KEYS}
-        return echo
+        return {"command": self.command, **{
+            key: {sub: echo[key][sub] for sub in keys} if keys else echo[key]
+            for key, keys in _READS[self.command].items()}}
 
     def sector_grid(self) -> SectorGrid:
         return SectorGrid.default(self.psi, t_min=self.t_min, t_max=self.t_max,
@@ -382,7 +401,9 @@ def _cmd_modulus(config: ExperimentConfig):
     members = build_ensemble(config.ensemble, config.seed)
     domination_rows = []
     suite_rows = []
+    residual = 0.0
     for index, (member_seed, gen) in enumerate(members):
+        residual = max(residual, eigen_residual(gen.operator, gen.decomposition))
         report = verify_domination(gen, trials=config.trials, seed=member_seed + 1)
         passed = passed and report.passed
         domination_rows.append((index, member_seed, gen.n, report.max_violation,
@@ -397,7 +418,8 @@ def _cmd_modulus(config: ExperimentConfig):
         passed = passed and suite.passed
         suite_rows.append((index, member_seed, gen.n, t, suite.sup_margin,
                            suite.tensor_margin, suite.positivity_min, suite.passed))
-    details = {"exemplar_error": exemplar_err, "exemplar_deviation": deviation}
+    details = {"exemplar_error": exemplar_err, "exemplar_deviation": deviation,
+               "max_relative_eigen_residual": residual}
     tables = {
         "exemplar": (("t", "max_abs_error", "semigroup_deviation", "depth", "residual"),
                      exemplar_rows),
@@ -470,7 +492,9 @@ def _cmd_pointwise(config: ExperimentConfig):
     profile_rows = []
     slope_rows = []
     passed = True
+    residual = 0.0
     for index, (member_seed, gen) in enumerate(members):
+        residual = max(residual, eigen_residual(gen.operator, gen.decomposition))
         rng = np.random.default_rng(member_seed + 17)
         field = _random_bochner(rng, gen.n, config.d_list[0], config.r)
         profile = pointwise_convergence_profile(gen, field, config.psi,
@@ -480,7 +504,7 @@ def _cmd_pointwise(config: ExperimentConfig):
         for rho, err in zip(profile.radii, profile.errors):
             profile_rows.append((index, member_seed, float(rho), float(err)))
         slope_rows.append((index, member_seed, profile.slope, in_range))
-    details = {"n_profiles": len(members)}
+    details = {"n_profiles": len(members), "max_relative_eigen_residual": residual}
     tables = {
         "convergence": (("trial", "seed", "rho", "e"), profile_rows),
         "slopes": (("trial", "seed", "slope", "pass"), slope_rows),

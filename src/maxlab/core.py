@@ -53,10 +53,6 @@ class WeightedSpace:
     def n(self) -> int:
         return self.mu.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.mu.sum())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedSpace):
             return NotImplemented

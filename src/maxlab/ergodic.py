@@ -28,7 +28,6 @@ __all__ = [
     "ErgodicReport",
     "HdsResult",
     "DEFAULT_ERGODIC_T_GRID",
-    "default_time_grid",
     "ergodic_average",
     "maximal_ergodic",
     "hds_bound",
@@ -36,19 +35,9 @@ __all__ = [
 ]
 
 
-def default_time_grid(refinement: int = 0) -> np.ndarray:
-    """Geometric grid on [1e-4, 1e3]; each refinement doubles the density.
-
-    Refined grids keep every existing node, so grid suprema are monotone
-    under refinement.
-    """
-    if refinement < 0:
-        raise ValueError("refinement must be >= 0")
-    n_points = 56 * 2**refinement + 1
-    return np.geomspace(1e-4, 1e3, n_points)
-
-
-DEFAULT_ERGODIC_T_GRID = default_time_grid()
+# Geometric time grid on [1e-4, 1e3] over which the maximal functions take
+# their supremum.
+DEFAULT_ERGODIC_T_GRID = np.geomspace(1e-4, 1e3, 57)
 
 
 def _averaging_values(lam: np.ndarray, t) -> np.ndarray:

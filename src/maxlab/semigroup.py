@@ -164,8 +164,7 @@ class SectorGrid:
     """Finite probe grid in the closed sector |arg z| <= psi.
 
     Radii are geometric and strictly increasing, angles uniform over
-    [-psi, psi].  ``refine`` doubles the density while keeping every
-    existing node, so suprema over the refined grid never decrease.
+    [-psi, psi].
     """
 
     psi: float
@@ -205,15 +204,6 @@ class SectorGrid:
             raise ValueError("need at least one radius and one angle")
         radii = np.geomspace(t_min, t_max, n_radii)
         return cls(psi, radii, sector_angles(psi, n_angles))
-
-    def refine(self) -> "SectorGrid":
-        """Twice the density, same endpoints; the node set grows monotonically."""
-        radii = np.geomspace(self.radii[0], self.radii[-1], 2 * self.radii.size - 1)
-        if self.angles.size == 1:
-            angles = self.angles
-        else:
-            angles = np.linspace(self.angles[0], self.angles[-1], 2 * self.angles.size - 1)
-        return SectorGrid(self.psi, radii, angles)
 
     def points(self) -> np.ndarray:
         """All grid nodes z = t * exp(i theta), radius-major order."""

@@ -1,14 +1,15 @@
 """Reference constructions that only the tests use.
 
-Each is a second route to a quantity that `maxlab` computes another way:
+Most are a second route to a quantity that `maxlab` computes another way:
 the modulus generator to the dyadic modulus semigroup, the product of
 increment moduli to its repeated squaring, and the dense L^(iu) matrix to
-the spectral calculus on fields.
+the spectral calculus on fields.  The grid refinements check that grid
+suprema never decrease as nodes are added.
 """
 
 import numpy as np
 
-from maxlab.semigroup import DiffusionGenerator, semigroup_matrix
+from maxlab.semigroup import DiffusionGenerator, SectorGrid, semigroup_matrix
 from maxlab.spectral import MuSymmetricOperator, spectral_matrix
 
 
@@ -44,3 +45,27 @@ def imaginary_power_matrix(gen, u: float) -> np.ndarray:
     pos = lam > 0.0
     gvals[pos] = np.exp(1j * float(u) * np.log(lam[pos]))
     return spectral_matrix(gen.decomposition, gvals)
+
+
+def total_mass(space) -> float:
+    """mu(X), the sum of the point masses."""
+    return float(space.mu.sum())
+
+
+def refine_sector_grid(grid: SectorGrid) -> SectorGrid:
+    """Twice the density, same endpoints; every node of ``grid`` is kept."""
+    radii = np.geomspace(grid.radii[0], grid.radii[-1], 2 * grid.radii.size - 1)
+    if grid.angles.size == 1:
+        angles = grid.angles
+    else:
+        angles = np.linspace(grid.angles[0], grid.angles[-1], 2 * grid.angles.size - 1)
+    return SectorGrid(grid.psi, radii, angles)
+
+
+def time_grid(refinement: int) -> np.ndarray:
+    """Geometric grid on [1e-4, 1e3] with 56 * 2^refinement + 1 nodes.
+
+    Refinement 0 is ``ergodic.DEFAULT_ERGODIC_T_GRID``; each refinement
+    doubles the density and keeps every node.
+    """
+    return np.geomspace(1e-4, 1e3, 56 * 2**refinement + 1)

@@ -75,8 +75,9 @@ def test_document_and_override_merge():
     assert cfg.ensemble.kind == "diffusion"
     echo = cfg.document()
     assert echo["ensemble"] == {"n": 4, "count": 3, "kind": "diffusion", "c": 1.0}
-    assert set(echo) == {"command", "seed", "trials", "ensemble", "exponents",
-                         "angles", "grids", "output"}
+    # hds reads no angles or grids, so its echo holds none
+    assert set(echo) == {"command", "seed", "trials", "ensemble", "exponents", "output"}
+    assert echo["exponents"] == {"p": [1.5, 2.0, 3.0], "r": 2.0, "d": [4]}
 
 
 def test_config_rejections():
@@ -90,10 +91,11 @@ def test_config_rejections():
         ExperimentConfig.from_sources("hds", document={"trials": 0})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sources("hds", document={"exponents": {"p": [1.0]}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_sources("hds", document={"angles": {"psi": math.pi / 2.0}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_sources("hds", document={"grids": {"t_min": 1.0, "t_max": 0.5}})
+    with pytest.raises(ConfigError, match="angles.psi must lie in"):
+        ExperimentConfig.from_sources("pointwise", document={"angles": {"psi": math.pi / 2.0}})
+    with pytest.raises(ConfigError, match="grids need 0 < t_min < t_max"):
+        ExperimentConfig.from_sources("verify-semigroup",
+                                      document={"grids": {"t_min": 1.0, "t_max": 0.5}})
 
 
 def test_config_preconditions():
@@ -104,7 +106,7 @@ def test_config_preconditions():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sources("bip-plan", document={"angles": {"theta": 0.5}})
     # the same angle is fine for commands without sector preconditions
-    ExperimentConfig.from_sources("hds", document={"angles": {"psi": 0.3 * math.pi}})
+    ExperimentConfig.from_sources("pointwise", document={"angles": {"psi": 0.3 * math.pi}})
 
 
 # Each override flag, a value for it and the overrides it must produce,
@@ -178,7 +180,10 @@ def test_main_bip_plan_end_to_end(tmp_path, capsys):
     assert "bip-plan: PASS" in out
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert manifest["passed"] is True
-    assert manifest["config"]["seed"] == DEFAULT_SEED
+    # the planner draws no random numbers, so no seed is echoed
+    assert manifest["config"] == {"command": "bip-plan", "exponents": {"p": [4.0], "r": 4.0},
+                                  "angles": {"psi": 0.1 * math.pi, "theta": None},
+                                  "output": str(prefix)}
     assert manifest["details"]["theta"] == pytest.approx(0.55)
     assert manifest["details"]["q"] == pytest.approx(22.0, rel=1e-9)
     assert manifest["tables"] == ["run.plan.csv"]
@@ -189,7 +194,8 @@ def test_main_bip_plan_end_to_end(tmp_path, capsys):
 
 def test_main_seed_override_lands_in_manifest(tmp_path):
     prefix = tmp_path / "seeded"
-    assert main(["bip-plan", "--seed", "7", "--out", str(prefix)]) == 0
+    assert main(["hds", "--seed", "7", "--n", "3", "--count", "2", "--trials", "1",
+                 "--p", "2", "--out", str(prefix)]) == 0
     manifest = json.loads((tmp_path / "seeded.manifest.json").read_text())
     assert manifest["config"]["seed"] == 7
 
@@ -214,8 +220,11 @@ def _rerun_from_echo(tmp_path, command, extra=()) -> dict:
 
 
 def test_manifest_echo_feeds_back_as_config(tmp_path):
-    echo = _rerun_from_echo(tmp_path, "bip-plan", ["--seed", "5", "--r", "3"])
-    assert echo["seed"] == 5 and echo["exponents"]["r"] == 3.0
+    echo = _rerun_from_echo(tmp_path / "plan", "bip-plan", ["--r", "3"])
+    assert echo["exponents"]["r"] == 3.0
+    echo = _rerun_from_echo(tmp_path / "hds", "hds", ["--seed", "5", "--n", "3", "--count", "2",
+                                                      "--trials", "1", "--p", "2"])
+    assert echo["seed"] == 5 and echo["ensemble"]["n"] == 3
 
 
 def test_every_echo_parses_back_to_the_same_config():
@@ -253,12 +262,13 @@ def test_mellin_table_agrees_with_its_certificate(tmp_path):
 @pytest.mark.parametrize("document", ['{"ensemble": 3}', '{"grids": null}',
                                       '{"exponents": [2.0]}', '{"angles": "wide"}'])
 def test_non_object_section_is_a_config_error(tmp_path, capsys, document):
+    # maximal reads all four sections
     section = next(iter(json.loads(document)))
     with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
-        ExperimentConfig.from_sources("hds", document=json.loads(document))
+        ExperimentConfig.from_sources("maximal", document=json.loads(document))
     path = tmp_path / "section.json"
     path.write_text(document)
-    assert main(["hds", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert main(["maximal", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert f"error: {section} must be a JSON object" in capsys.readouterr().err
     assert not list(tmp_path.glob("x*"))
 
@@ -393,9 +403,10 @@ def test_full_suite_writes_a_manifest(tmp_path, monkeypatch, capsys):
 def test_commands_accept_every_rate_scale(tmp_path, c):
     # rounding in mu-symmetry grows with c; at c = 1e8 it once ended in a traceback
     small = tmp_path / "small.json"
-    small.write_text('{"grids": {"n_radii": 3, "n_angles": 3}, "trials": 2}')
-    for command in ("hds", "modulus", "verify-semigroup"):
-        args = [command, "--c", c, "--count", "2", "--config", str(small),
+    small.write_text('{"grids": {"n_radii": 3, "n_angles": 3}}')
+    for command, extra in (("hds", []), ("modulus", []),
+                           ("verify-semigroup", ["--config", str(small)])):
+        args = [command, "--c", c, "--count", "2", "--trials", "2", *extra,
                 "--out", str(tmp_path / command)]
         assert main(args) == 0, command
 
@@ -465,15 +476,19 @@ def test_verify_semigroup_keeps_the_per_node_lower_bounds_away_from_p_two(tmp_pa
     assert next(rows, None) is None
 
 
-@pytest.mark.parametrize("command", ["hds", "maximal"])
-def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command):
+@pytest.mark.parametrize("command, flags", [
+    ("hds", ["--trials", "1"]),
+    ("maximal", ["--trials", "1"]),
+    ("modulus", ["--trials", "1"]),
+    ("pointwise", []),
+])
+def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command, flags):
     prefix = tmp_path / command
-    assert main([command, "--n", "5", "--count", "2", "--trials", "1",
-                 "--out", str(prefix)]) == 0
+    assert main([command, "--n", "5", "--count", "2", *flags, "--out", str(prefix)]) == 0
     details = json.loads((tmp_path / f"{command}.manifest.json").read_text())["details"]
     assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
-    for path in tmp_path.glob(f"{command}.*.csv"):
-        assert "residual" not in path.read_text()
+    paths = list(tmp_path.glob(f"{command}.*.csv"))
+    assert paths and not any("eigen" in path.read_text() for path in paths)
 
 
 def _verify_semigroup_rows(tmp_path, *flags):
@@ -581,3 +596,100 @@ def test_repeated_p_flag_is_refused_where_one_p_is_read(tmp_path, capsys):
                                          overrides={"exponents": {"p": [4.0, 1.5]}})
     assert ExperimentConfig.from_sources("hds", document={"exponents": {"p": [1.5, 3.0]}})
     assert ExperimentConfig.from_sources("maximal", document={"exponents": {"d": [1, 2]}})
+
+
+# Every config key with a valid value for it, and the keys each command reads
+# besides output, written out by hand rather than read from the source table.
+KEY_VALUES = {
+    "seed": 3, "trials": 1,
+    "ensemble.n": 3, "ensemble.count": 2, "ensemble.kind": "diffusion", "ensemble.c": 1.0,
+    "exponents.p": [4.0], "exponents.r": 4.0, "exponents.d": [4],
+    "angles.psi": 0.1 * math.pi, "angles.theta": 0.6,
+    "grids.t_min": 1e-3, "grids.t_max": 1e2, "grids.n_radii": 3, "grids.n_angles": 3,
+    "grids.U": 40.0, "grids.h": 0.01,
+}
+SAMPLED = {"seed", "trials", "ensemble.n", "ensemble.count", "ensemble.kind", "ensemble.c"}
+SECTOR_GRID = {"grids.t_min", "grids.t_max", "grids.n_radii", "grids.n_angles"}
+READS = {
+    "verify-semigroup": SAMPLED | {"exponents.p", "angles.psi"} | SECTOR_GRID,
+    "modulus": SAMPLED | {"exponents.p", "exponents.r", "exponents.d"},
+    "hds": SAMPLED | {"exponents.p", "exponents.r", "exponents.d"},
+    "mellin-table": {"angles.psi", "grids.n_angles", "grids.U", "grids.h"},
+    "maximal": SAMPLED | {"exponents.p", "exponents.r", "exponents.d", "angles.psi",
+                          "angles.theta"} | SECTOR_GRID,
+    "pointwise": SAMPLED - {"trials"} | {"exponents.r", "exponents.d", "angles.psi",
+                                         "grids.n_angles"},
+    "bip-plan": {"exponents.p", "exponents.r", "angles.psi", "angles.theta"},
+    "full-suite": {"seed"},
+}
+UNREAD = [(command, key) for command in COMMANDS for key in KEY_VALUES
+          if key not in READS[command]]
+
+
+def _nested(key, value) -> dict:
+    section, _, sub = key.rpartition(".")
+    return {section: {sub: value}} if section else {key: value}
+
+
+def test_each_echo_holds_exactly_the_keys_its_command_reads():
+    for command in COMMANDS:
+        echo = ExperimentConfig.from_sources(command).document()
+        keys = {f"{key}.{sub}" if isinstance(value, dict) else key
+                for key, value in echo.items()
+                for sub in (value if isinstance(value, dict) else [None])}
+        assert keys == READS[command] | {"command", "output"}, command
+        # every key it reads takes a value from a document
+        for key in READS[command]:
+            ExperimentConfig.from_sources(command, document=_nested(key, KEY_VALUES[key]))
+
+
+@pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_a_key_the_command_does_not_read_is_a_config_error(command, key):
+    section, _, sub = key.rpartition(".")
+    # in a section the command reads the message names the key, otherwise the section
+    if any(read.startswith(section + ".") for read in READS[command]):
+        where, named = section, sub
+    else:
+        where, named = "config", key.partition(".")[0]
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_sources(command, document=_nested(key, KEY_VALUES[key]))
+    assert str(exc.value).startswith(f"unknown {where} keys: {named} ({command} reads: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hds", "--theta", "0.9", "--psi", "1.2"], "config keys: angles (hds reads: "),
+    (["mellin-table", "--p", "1.1", "--p", "7", "--theta", "0.3"],
+     "config keys: exponents (mellin-table reads: "),
+    (["verify-semigroup", "--r", "9", "--theta", "0.2"],
+     "exponents keys: r (verify-semigroup reads: p)"),
+    (["pointwise", "--trials", "7"], "config keys: trials (pointwise reads: "),
+    (["bip-plan", "--seed", "5"], "config keys: seed (bip-plan reads: "),
+    (["mellin-table", "--seed", "5"], "config keys: seed (mellin-table reads: "),
+    (["full-suite", "--trials", "1", "--n", "3"],
+     "config keys: ensemble, trials (full-suite reads: seed, output)"),
+], ids=["hds", "mellin-table", "verify-semigroup", "pointwise", "bip-plan", "mellin-table-seed",
+        "full-suite"])
+def test_an_unread_flag_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown {message}")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", True), ("seed", 1.5), ("trials", 2.5), ("ensemble.n", 8.9),
+    ("ensemble.count", False), ("exponents.d", 4.5), ("exponents.d", [1, 4.5]),
+    ("grids.n_radii", 3.2), ("grids.n_angles", True), ("ensemble.n", "8"),
+])
+def test_integer_keys_refuse_other_values(tmp_path, capsys, key, value):
+    # maximal reads all seven integer keys; int() would have truncated these
+    document = _nested(key, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be an integer, got "):
+        ExperimentConfig.from_sources("maximal", document=document)
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(document))
+    assert main(["maximal", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+    assert not list(tmp_path.glob("x*"))
+    # an integral float is still an integer
+    cfg = ExperimentConfig.from_sources("maximal", document={"ensemble": {"n": 5.0}})
+    assert cfg.ensemble.n == 5 and isinstance(cfg.ensemble.n, int)

@@ -15,12 +15,13 @@ from maxlab.core import (
     field_parts,
     lp_norm,
 )
+from oracles import total_mass
 
 
 def test_weighted_space_validation():
     sp = WeightedSpace(np.array([0.5, 1.5, 2.0]))
     assert sp.n == 3
-    assert sp.total_mass == pytest.approx(4.0)
+    assert total_mass(sp) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         WeightedSpace(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):

@@ -11,13 +11,12 @@ from maxlab.spectral import MuSymmetricOperator
 from maxlab.semigroup import DiffusionGenerator, EnsembleSpec, build_ensemble, evolve, random_generator
 from maxlab.ergodic import (
     DEFAULT_ERGODIC_T_GRID,
-    default_time_grid,
     ergodic_average,
     hds_bound,
     hds_experiment,
     maximal_ergodic,
 )
-from oracles import modulus_generator
+from oracles import modulus_generator, time_grid
 
 
 def test_ergodic_average_against_midpoint_riemann_sum():
@@ -86,10 +85,9 @@ def test_tensor_average_factorises_over_simple_tensors():
 
 
 def test_default_time_grid_refinement():
-    assert default_time_grid(0).size == 57
-    assert default_time_grid(2).size == 56 * 4 + 1
-    coarse = default_time_grid(0)
-    fine = default_time_grid(1)
+    assert time_grid(2).size == 56 * 4 + 1
+    coarse = time_grid(0)
+    fine = time_grid(1)
     # refinement keeps every node, so grid suprema cannot decrease
     np.testing.assert_allclose(fine[::2], coarse, rtol=1e-12)
     gen = random_generator(4, 76, kind="diffusion")
@@ -98,6 +96,7 @@ def test_default_time_grid_refinement():
     m_fine = maximal_ergodic(gen, f, fine)
     assert np.all(m_fine >= m_coarse - 1e-12)
     assert DEFAULT_ERGODIC_T_GRID.size == 57
+    assert np.array_equal(coarse, DEFAULT_ERGODIC_T_GRID)
 
 
 def _averaged_modulus_matrix(gen, t):

@@ -48,7 +48,7 @@ from maxlab.mellin import (
     sector_maximal,
     truncation_bound,
 )
-from oracles import imaginary_power_matrix
+from oracles import imaginary_power_matrix, refine_sector_grid
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -262,7 +262,7 @@ def test_sector_maximal_dominates_grid_nodes_and_refines_monotonely():
     for z in grid.points():
         node = fiber_norm(evolve(gen, z, field).values, field.norm.r)
         assert np.all(node <= best + 1e-12)
-    finer = sector_maximal(gen, field, grid.refine())
+    finer = sector_maximal(gen, field, refine_sector_grid(grid))
     assert np.all(finer >= best - 1e-12)
     with pytest.raises(ValueError):
         sector_maximal(random_generator(4, 34), field, grid)

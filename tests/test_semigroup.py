@@ -31,7 +31,7 @@ from maxlab.semigroup import (
     semigroup_matrix,
     stein_angle,
 )
-from oracles import imaginary_power_matrix, modulus_generator
+from oracles import imaginary_power_matrix, modulus_generator, refine_sector_grid
 
 # The sampled contraction check, kept as the oracle of the exact dominance
 # check made at construction: ||exp(-t L)|| <= 1 + ABS_TOL at p = 1 and
@@ -458,7 +458,7 @@ def test_sector_grid_structure():
     for z in points:
         assert abs(np.angle(z)) <= 0.1 * math.pi + 1e-12
         assert 1e-3 * (1 - 1e-12) <= abs(z) <= 1e2 * (1 + 1e-12)
-    fine = grid.refine()
+    fine = refine_sector_grid(grid)
     assert fine.radii.size == 2 * grid.radii.size - 1
     assert fine.angles.size == 2 * grid.angles.size - 1
     # refinement keeps every original node
