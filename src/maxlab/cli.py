@@ -167,10 +167,11 @@ def _require_keys(command: str, section: str, given: dict, allowed: tuple) -> No
 
 
 def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and float(value).is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ class ExperimentConfig:
                 raise ValueError("quadrature grids need U > 0 and h > 0")
         except ConfigError:
             raise
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         for key, values in (("p", p_list), ("d", d_list)):
             if len(values) > 1 and not isinstance(defaults["exponents"][key], list):

@@ -489,6 +489,9 @@ def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command, flags):
     assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
     paths = list(tmp_path.glob(f"{command}.*.csv"))
     assert paths and not any("eigen" in path.read_text() for path in paths)
+    # only the modulus exemplar table has a residual column of its own
+    assert not any("residual" in path.read_text() for path in paths
+                   if path.name != "modulus.exemplar.csv")
 
 
 def _verify_semigroup_rows(tmp_path, *flags):
@@ -693,3 +696,18 @@ def test_integer_keys_refuse_other_values(tmp_path, capsys, key, value):
     # an integral float is still an integer
     cfg = ExperimentConfig.from_sources("maximal", document={"ensemble": {"n": 5.0}})
     assert cfg.ensemble.n == 5 and isinstance(cfg.ensemble.n, int)
+
+
+def test_a_huge_integer_never_ends_in_a_traceback(tmp_path, capsys):
+    huge = 10 ** 400
+    assert ExperimentConfig.from_sources("hds", overrides={"seed": huge}).seed == huge
+    prefix = tmp_path / "hds"
+    assert main(["hds", "--n", "3", "--count", "1", "--trials", "1",
+                 "--seed", str(huge), "--out", str(prefix)]) == 0
+    assert json.loads((tmp_path / "hds.manifest.json").read_text())["config"]["seed"] == huge
+    # a float key cannot hold it: a config error, not an OverflowError
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"ensemble": {"c": huge}}))
+    assert main(["hds", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: int too large to convert to float")
+    assert not list(tmp_path.glob("x*"))
