@@ -174,6 +174,12 @@ def _integer(key: str, value) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _real(key: str, value) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-defaulted description of one run."""
@@ -216,15 +222,16 @@ class ExperimentConfig:
             ens = merged["ensemble"]
             ensemble = EnsembleSpec(n=_integer("ensemble.n", ens["n"]),
                                     count=_integer("ensemble.count", ens["count"]),
-                                    kind=str(ens["kind"]), c=float(ens["c"]))
+                                    kind=str(ens["kind"]), c=_real("ensemble.c", ens["c"]))
             raw_p = merged["exponents"]["p"]
-            p_list = tuple(float(p) for p in (raw_p if isinstance(raw_p, (list, tuple)) else [raw_p]))
+            p_list = tuple(_real("exponents.p", p)
+                           for p in (raw_p if isinstance(raw_p, (list, tuple)) else [raw_p]))
             if not p_list:
                 raise ValueError("exponents.p must contain at least one exponent")
             for p in p_list:
                 if not (1.0 < p < math.inf):
                     raise ValueError(f"every exponent p must satisfy 1 < p < inf, got {p}")
-            r = float(merged["exponents"]["r"])
+            r = _real("exponents.r", merged["exponents"]["r"])
             if not (1.0 < r < math.inf):
                 raise ValueError(f"fiber exponent r must satisfy 1 < r < inf, got {r}")
             raw_d = merged["exponents"]["d"]
@@ -232,22 +239,22 @@ class ExperimentConfig:
                            for d in (raw_d if isinstance(raw_d, (list, tuple)) else [raw_d]))
             if not d_list or min(d_list) < 1:
                 raise ValueError("exponents.d must be a nonempty list of positive dimensions")
-            psi = float(merged["angles"]["psi"])
+            psi = _real("angles.psi", merged["angles"]["psi"])
             if not (0.0 <= psi < math.pi / 2.0):
                 raise ValueError(f"angles.psi must lie in [0, pi/2), got {psi}")
             theta = merged["angles"]["theta"]
-            theta = None if theta is None else float(theta)
+            theta = None if theta is None else _real("angles.theta", theta)
             grids = merged["grids"]
-            t_min = float(grids["t_min"])
-            t_max = float(grids["t_max"])
+            t_min = _real("grids.t_min", grids["t_min"])
+            t_max = _real("grids.t_max", grids["t_max"])
             if not (0.0 < t_min < t_max):
                 raise ValueError(f"grids need 0 < t_min < t_max, got ({t_min}, {t_max})")
             n_radii = _integer("grids.n_radii", grids["n_radii"])
             n_angles = _integer("grids.n_angles", grids["n_angles"])
             if n_radii < 1 or n_angles < 1:
                 raise ValueError("grids need n_radii >= 1 and n_angles >= 1")
-            quad_u = float(grids["U"])
-            quad_h = float(grids["h"])
+            quad_u = _real("grids.U", grids["U"])
+            quad_h = _real("grids.h", grids["h"])
             if not (quad_u > 0.0 and quad_h > 0.0):
                 raise ValueError("quadrature grids need U > 0 and h > 0")
         except ConfigError:

@@ -15,7 +15,11 @@ function (needed by the multiplier transforms downstream) and exact
 endpoint operator norms, randomized certified lower bounds for the
 intermediate exponents, and two-sided bounds on the norms of functions of
 the operator: exact at p = 2, where they are normal in L^2(mu), and
-Riesz-Thorin upper bounds elsewhere.
+Riesz-Thorin upper bounds elsewhere.  The lower bounds of a family of K
+matrices come from one Boyd/Higham iteration over a (K, n, n + trials)
+block, in which each matrix stops on its own; operator_norm_lower_bound
+is that iteration for one matrix, and each family row equals it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -300,13 +304,68 @@ def operator_norm(space: WeightedSpace, a: np.ndarray, p: float) -> float:
 
 
 def _dual_sign_power(y: np.ndarray, e: float) -> np.ndarray:
-    """Columnwise duality map ``y -> |y|^e * phase(y)``, each column scaled by its top magnitude."""
+    """Columnwise duality map ``y -> |y|^e * phase(y)``, each column scaled by its top magnitude.
+
+    ``y`` is one matrix (n, m) or a stack (K, n, m); columns run along axis -2.
+    """
     mags = np.abs(y)
-    top = mags.max(axis=0)
+    top = mags.max(axis=-2, keepdims=True)
     safe = np.where(mags > 0.0, mags, 1.0)
     # real divisions: a complex one by a subnormal magnitude overflows
     phase = y.real / safe + 1j * (y.imag / safe)
     return (mags / np.where(top > 0.0, top, 1.0)) ** e * phase
+
+
+def _boyd_block(space: WeightedSpace, mats, p: float, trials: int, rng) -> np.ndarray:
+    """Boyd/Higham lower bounds for a family of K matrices (n, n), one per matrix.
+
+    Each matrix is conjugated to ``B = D^(1/p) A D^(-1/p)`` and iterated on
+    a block of n + trials columns: the standard basis and the matrix's own
+    row of one ``rng.standard_normal((K, trials, 2, n))`` draw, which reads
+    the stream as K draws of (trials, 2, n) in turn.  The family runs as
+    one (K, n, n + trials) iteration.  A matrix is frozen once none of its
+    columns grows, so it takes the steps, and gives the bits, it would
+    alone; later steps work only on the matrices still active.  Real and
+    complex matrices iterate apart, since a real matrix run as complex
+    rounds differently.
+    """
+    mats = [np.asarray(a) for a in mats]
+    n = space.n
+    for a in mats:
+        if a.shape != (n, n):
+            raise ValueError(f"matrix must have shape ({n}, {n}), got {a.shape}")
+    p = float(p)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"lower bounds need 1 < p < inf, got {p}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    q = p / (p - 1.0)
+    w = space.mu ** (1.0 / p)
+    # each start draws its real, then its imaginary part, in matrix and trial order
+    draws = rng.standard_normal((len(mats), trials, 2, n))
+    starts = (draws[:, :, 0] + 1j * draws[:, :, 1]).swapaxes(-1, -2)
+    starts = starts / np.linalg.norm(starts, ord=p, axis=-2, keepdims=True)
+    best = np.zeros((len(mats), n + trials))
+    is_complex = np.array([np.iscomplexobj(a) for a in mats], dtype=bool)
+    for rows in (np.flatnonzero(~is_complex), np.flatnonzero(is_complex)):
+        if rows.size == 0:
+            continue
+        b = (w[:, None] * np.stack([mats[k] for k in rows])) / w[None, :]
+        x = np.concatenate([np.broadcast_to(np.eye(n), (rows.size, n, n)), starts[rows]], axis=-1)
+        for step in range(30):
+            y = b @ x
+            gamma = np.linalg.norm(y, ord=p, axis=-2)
+            seen = best[rows]
+            grew = (gamma > seen + 1e-15 * np.maximum(seen, 1.0)).any(axis=-1)
+            best[rows] = np.maximum(seen, gamma)
+            if step == 29 or not grew.any():
+                break
+            rows, b, y = rows[grew], b[grew], y[grew]
+            direction = _dual_sign_power(b.conj().swapaxes(-1, -2) @ _dual_sign_power(y, p - 1.0),
+                                         q - 1.0)
+            scale = np.linalg.norm(direction, ord=p, axis=-2, keepdims=True)
+            x = direction / np.where(scale > 0.0, scale, 1.0)
+    return best.max(axis=-1)
 
 
 def operator_norm_lower_bound(space: WeightedSpace, a: np.ndarray, p: float,
@@ -319,36 +378,10 @@ def operator_norm_lower_bound(space: WeightedSpace, a: np.ndarray, p: float,
     the columns of one block by the Boyd/Higham p-norm power iteration.
     Every iterate yields a genuine ratio ``||B x||_p / ||x||_p``, so the
     best one seen is never an overestimate.  The iteration stops once no
-    column grows, or after 30 steps.
+    column grows, or after 30 steps.  This is the family kernel of
+    multiplier_norm_bounds run on one matrix.
     """
-    a = np.asarray(a)
-    n = space.n
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must have shape ({n}, {n}), got {a.shape}")
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"lower bounds need 1 < p < inf, got {p}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    q = p / (p - 1.0)
-    w = space.mu ** (1.0 / p)
-    b = (w[:, None] * a) / w[None, :]
-    # each start draws its real, then its imaginary part, in trial order
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, n))
-    starts = (draws[:, 0] + 1j * draws[:, 1]).T
-    x = np.hstack([np.eye(n), starts / np.linalg.norm(starts, ord=p, axis=0)])
-    best = np.zeros(x.shape[1])
-    for _ in range(30):
-        y = b @ x
-        gamma = np.linalg.norm(y, ord=p, axis=0)
-        grew = gamma > best + 1e-15 * np.maximum(best, 1.0)
-        best = np.maximum(best, gamma)
-        if not grew.any():
-            break
-        direction = _dual_sign_power(b.conj().T @ _dual_sign_power(y, p - 1.0), q - 1.0)
-        scale = np.linalg.norm(direction, ord=p, axis=0)
-        x = direction / np.where(scale > 0.0, scale, 1.0)
-    return float(best.max())
+    return float(_boyd_block(space, [a], p, trials, np.random.default_rng(seed))[0])
 
 
 def multiplier_norm_bounds(dec: SpectralDecomposition, gvals, p: float,
@@ -358,9 +391,11 @@ def multiplier_norm_bounds(dec: SpectralDecomposition, gvals, p: float,
     ``gvals`` holds rows (K, n) of multiplier values on the spectrum.  A
     function of a mu-selfadjoint L is normal in L^2(mu), so at p = 2 both
     bounds are the exact norm ``max_k |g(lambda_k)|`` and no matrix is
-    built.  Elsewhere each row's matrix gets operator_norm_lower_bound,
-    all rows drawing from one generator made from ``seed``, and the
-    Riesz-Thorin bound between 2 and the nearer endpoint e in {1, inf},
+    built.  Elsewhere the rows' matrices share one Boyd/Higham iteration,
+    _boyd_block, whose lower bound for each row equals, bit for bit,
+    operator_norm_lower_bound on that row's matrix with the rows drawing
+    in turn from one generator made from ``seed``.  The upper bound is
+    Riesz-Thorin between 2 and the nearer endpoint e in {1, inf},
     ``||T||_2^(1 - theta) ||T||_e^theta`` with ``theta = |2/p - 1|``.  A
     row with no imaginary part gives a real matrix.
     """
@@ -375,11 +410,9 @@ def multiplier_norm_bounds(dec: SpectralDecomposition, gvals, p: float,
         return exact, exact.copy()
     theta = abs(2.0 / p - 1.0)
     endpoint = 1.0 if p < 2.0 else math.inf
-    rng = np.random.default_rng(seed)
-    lower = np.empty(len(gvals))
-    upper = np.empty(len(gvals))
-    for k, g in enumerate(gvals):
-        m = spectral_matrix(dec, g if np.any(g.imag) else g.real)
-        lower[k] = operator_norm_lower_bound(dec.space, m, p, trials=trials, seed=rng)
-        upper[k] = exact[k] ** (1.0 - theta) * operator_norm(dec.space, m, endpoint) ** theta
+    mats = [spectral_matrix(dec, g if np.any(g.imag) else g.real) for g in gvals]
+    lower = _boyd_block(dec.space, mats, p, trials, np.random.default_rng(seed))
+    # one scalar pow per row: numpy's vectorised pow rounds differently
+    upper = np.array([exact[k] ** (1.0 - theta) * operator_norm(dec.space, m, endpoint) ** theta
+                      for k, m in enumerate(mats)])
     return lower, upper

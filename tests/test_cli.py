@@ -411,23 +411,23 @@ def test_commands_accept_every_rate_scale(tmp_path, c):
         assert main(args) == 0, command
 
 
-def _counting_norm_bounds(monkeypatch):
-    """Count operator_norm_lower_bound calls through the binding the package uses."""
+def _counting_boyd_rows(monkeypatch):
+    """Record the exponent of every matrix the Boyd kernel iterates, one entry per matrix."""
     import maxlab.spectral as spectral
 
     calls = []
-    original = spectral.operator_norm_lower_bound
+    original = spectral._boyd_block
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted(space, mats, p, *args, **kwargs):
+        calls.extend([p] * len(mats))
+        return original(space, mats, p, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "operator_norm_lower_bound", counted)
+    monkeypatch.setattr(spectral, "_boyd_block", counted)
     return calls
 
 
 def test_default_verify_semigroup_runs_no_boyd_iteration(tmp_path, monkeypatch):
-    calls = _counting_norm_bounds(monkeypatch)
+    calls = _counting_boyd_rows(monkeypatch)
     prefix = tmp_path / "vs"
     assert main(["verify-semigroup", "--out", str(prefix)]) == 0
     assert calls == []
@@ -439,7 +439,7 @@ def test_default_verify_semigroup_runs_no_boyd_iteration(tmp_path, monkeypatch):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 8 * 24 * 9
     assert all(row["norm_lb"] == row["norm_ub"] and row["status"] == "certified" for row in rows)
-    # positive control: away from p = 2 every node runs the iteration once
+    # positive control: away from p = 2 every node's matrix goes through the iteration once
     small = tmp_path / "small.json"
     small.write_text('{"grids": {"n_radii": 3, "n_angles": 3}, "trials": 2}')
     args = ["verify-semigroup", "--p", "4", "--count", "2", "--config", str(small),
@@ -696,6 +696,30 @@ def test_integer_keys_refuse_other_values(tmp_path, capsys, key, value):
     # an integral float is still an integer
     cfg = ExperimentConfig.from_sources("maximal", document={"ensemble": {"n": 5.0}})
     assert cfg.ensemble.n == 5 and isinstance(cfg.ensemble.n, int)
+
+
+FLOAT_KEYS = ("ensemble.c", "exponents.p", "exponents.r", "angles.psi", "angles.theta",
+              "grids.t_min", "grids.t_max", "grids.U", "grids.h")
+
+
+@pytest.mark.parametrize("value", [True, "3"], ids=["bool", "string"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_float_keys_refuse_bools_and_strings(tmp_path, capsys, key, value):
+    # float() would have read True as 1.0 and "3" as 3.0
+    command = "mellin-table" if key in ("grids.U", "grids.h") else "maximal"
+    document = _nested(key, [value] if key == "exponents.p" else value)
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be a number, got {value!r}\n"
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_default_echo_reads_back_as_the_same_config(command):
+    echo = ExperimentConfig.from_sources(command).document()
+    document = {key: value for key, value in echo.items() if key != "command"}
+    assert ExperimentConfig.from_sources(command, document=document).document() == echo
 
 
 def test_a_huge_integer_never_ends_in_a_traceback(tmp_path, capsys):

@@ -567,7 +567,7 @@ def test_imaginary_power_estimate_at_p_two_is_flat(monkeypatch):
     def no_boyd(*args, **kwargs):
         raise AssertionError("the p = 2 norm has a closed form")
 
-    monkeypatch.setattr(spectral, "operator_norm_lower_bound", no_boyd)
+    monkeypatch.setattr(spectral, "_boyd_block", no_boyd)
     gen = random_generator(5, 38, kind="diffusion")
     est = imaginary_power_estimate(gen, 2.0, trials=10, seed=0)
     assert est.K == pytest.approx(1.0, abs=1e-9)

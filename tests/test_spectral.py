@@ -19,6 +19,7 @@ from maxlab.spectral import (
     KERNEL_SNAP_REL,
     GammaPoleError,
     MuSymmetricOperator,
+    SpectralDecomposition,
     apply_multiplier,
     complex_gamma,
     decompose,
@@ -754,6 +755,68 @@ def test_norm_bounds_keep_the_per_node_lower_bounds(p):
         m = spectral_matrix(dec, g if np.any(g.imag) else g.real)
         assert got == operator_norm_lower_bound(dec.space, m, p, trials=3, seed=rng)
     assert rng.random() == shared.random()
+
+
+def _mixed_family(n, seed):
+    """Rows whose matrices are zero, real diagonal, and dense real or complex, interleaved.
+
+    The eigenbasis ``V = D^(-1/2) Q`` keeps the weighted basis vector e_0 /
+    sqrt(mu_0) as its first column, so a row that vanishes off the first
+    eigenvalue gives a real diagonal matrix diag(c, 0, ..., 0).
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(0.5, 2.0, n)
+    q = np.eye(n)
+    q[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+    dec = SpectralDecomposition(WeightedSpace(mu), np.linspace(0.0, 3.0, n),
+                                q / np.sqrt(mu)[:, None])
+    diagonal = np.zeros(n)
+    diagonal[0] = 2.5
+
+    def dense():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    rows = [dense(), np.zeros(n), rng.standard_normal(n), diagonal, dense(),
+            rng.standard_normal(n)]
+    return dec, np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("n", (1, 6))
+@pytest.mark.parametrize("trials", (1, 8))
+@pytest.mark.parametrize("p", (1.5, 4.0))
+def test_family_iteration_matches_the_one_matrix_oracle_row_by_row(monkeypatch, n, trials, p):
+    import maxlab.spectral as spectral
+
+    dec, rows = _mixed_family(n, 1909)
+    dual = spectral._dual_sign_power
+    stacks = []
+    monkeypatch.setattr(spectral, "_dual_sign_power",
+                        lambda y, e: stacks.append(y.shape[0]) or dual(y, e))
+    shared, oracle = np.random.default_rng(11), np.random.default_rng(11)
+    with np.errstate(divide="raise", invalid="raise"):
+        lower, upper = multiplier_norm_bounds(dec, rows, p, trials=trials, seed=shared)
+    monkeypatch.undo()
+    theta = abs(2.0 / p - 1.0)
+    endpoint = 1.0 if p < 2.0 else math.inf
+    with np.errstate(divide="raise", invalid="raise"):
+        for g, got_lower, got_upper in zip(rows, lower, upper):
+            m = spectral_matrix(dec, g if np.any(g.imag) else g.real)
+            assert got_lower == operator_norm_lower_bound(dec.space, m, p, trials=trials,
+                                                          seed=oracle)
+            assert got_upper == np.abs(g).max() ** (1.0 - theta) \
+                * operator_norm(dec.space, m, endpoint) ** theta
+    assert shared.random() == oracle.random()
+    assert lower[1] == upper[1] == 0.0
+    # matrices still iterating at each step, two dual maps per step: the four
+    # real ones run first, then the two complex ones
+    active = stacks[::2]
+    if n == 6:
+        real, complex_ = active[:29], active[29:]
+        # the zero matrix froze at the first step, the diagonal one soon after,
+        # and a dense real and a dense complex matrix ran to the 30-step cap
+        assert real[0] == 3 and min(real) < 3 and len(complex_) == 29
+        for group in (real, complex_):
+            assert group == sorted(group, reverse=True) and group[-1] >= 1
 
 
 def test_norm_bounds_validate_rows():
