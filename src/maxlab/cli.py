@@ -72,7 +72,7 @@ from .semigroup import (
     sector_contraction_probe,
     semigroup_matrix,
 )
-from .spectral import complex_gamma, eigen_residual
+from .spectral import complex_gamma, eigen_residual, orthonormality_defect
 
 __all__ = ["ExperimentConfig", "ConfigError", "run", "main",
            "COMMANDS", "DEFAULT_SEED", "ACCEPTANCE_CRITERIA"]
@@ -364,6 +364,14 @@ def _manifest_skeleton(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Commands.  Each returns (passed, details, tables).
 
+def _diagnostics(members) -> dict:
+    """Largest eigen residual and mu-orthonormality defect over (seed, generator) members."""
+    gens = [gen for _, gen in members]
+    return {"max_relative_eigen_residual": max(eigen_residual(g.operator, g.decomposition)
+                                               for g in gens),
+            "max_orthonormality_defect": max(orthonormality_defect(g.decomposition) for g in gens)}
+
+
 def _cmd_verify_semigroup(config: ExperimentConfig):
     # construction checks the endpoint contraction property exactly, so every
     # member built passes it; the table reports how close each came to failing
@@ -376,9 +384,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
     sector_rows = []
     probe_limit = min(len(members), 8)
     worst_lb = worst_ub = -math.inf
-    residual = 0.0
     for index, (member_seed, gen) in enumerate(members[:probe_limit]):
-        residual = max(residual, eigen_residual(gen.operator, gen.decomposition))
         for p in config.p_list:
             report = sector_contraction_probe(gen, p, config.psi, grid=grid,
                                               trials=config.trials, seed=member_seed)
@@ -392,7 +398,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
                "worst_sector_upper_bound": worst_ub, "probed_members": probe_limit,
                "sector_nodes": {status: statuses.count(status)
                                 for status in ("certified", "refuted", "open")},
-               "max_relative_eigen_residual": residual}
+               **_diagnostics(members[:probe_limit])}
     tables = {
         "contraction": (("trial", "seed", "n", "kind", "dominance_margin", "pass"),
                         contraction_rows),
@@ -409,9 +415,7 @@ def _cmd_modulus(config: ExperimentConfig):
     members = build_ensemble(config.ensemble, config.seed)
     domination_rows = []
     suite_rows = []
-    residual = 0.0
     for index, (member_seed, gen) in enumerate(members):
-        residual = max(residual, eigen_residual(gen.operator, gen.decomposition))
         report = verify_domination(gen, trials=config.trials, seed=member_seed + 1)
         passed = passed and report.passed
         domination_rows.append((index, member_seed, gen.n, report.max_violation,
@@ -427,7 +431,7 @@ def _cmd_modulus(config: ExperimentConfig):
         suite_rows.append((index, member_seed, gen.n, t, suite.sup_margin,
                            suite.tensor_margin, suite.positivity_min, suite.passed))
     details = {"exemplar_error": exemplar_err, "exemplar_deviation": deviation,
-               "max_relative_eigen_residual": residual}
+               **_diagnostics(members)}
     tables = {
         "exemplar": (("t", "max_abs_error", "semigroup_deviation", "depth", "residual"),
                      exemplar_rows),
@@ -448,6 +452,7 @@ def _cmd_hds(config: ExperimentConfig):
     }
     details["bounds"] = {f"{report.p:g}": report.bound for report in result.reports}
     details["max_relative_eigen_residual"] = result.max_relative_eigen_residual
+    details["max_orthonormality_defect"] = result.max_orthonormality_defect
     tables = {"hds": (("seed", "n", "p", "ratio", "bound", "pass"), list(result.rows))}
     return result.passed, details, tables
 
@@ -489,6 +494,7 @@ def _cmd_maximal(config: ExperimentConfig):
         "uniformity_ratio": report.uniformity_ratio,
         "max_triangle_excess": report.max_triangle_excess,
         "max_relative_eigen_residual": report.max_relative_eigen_residual,
+        "max_orthonormality_defect": report.max_orthonormality_defect,
     }
     rows = list(zip(report.d_list, report.c_emp))
     tables = {"cemp": (("d", "c_emp"), rows)}
@@ -500,9 +506,7 @@ def _cmd_pointwise(config: ExperimentConfig):
     profile_rows = []
     slope_rows = []
     passed = True
-    residual = 0.0
     for index, (member_seed, gen) in enumerate(members):
-        residual = max(residual, eigen_residual(gen.operator, gen.decomposition))
         rng = np.random.default_rng(member_seed + 17)
         field = _random_bochner(rng, gen.n, config.d_list[0], config.r)
         profile = pointwise_convergence_profile(gen, field, config.psi,
@@ -512,7 +516,7 @@ def _cmd_pointwise(config: ExperimentConfig):
         for rho, err in zip(profile.radii, profile.errors):
             profile_rows.append((index, member_seed, float(rho), float(err)))
         slope_rows.append((index, member_seed, profile.slope, in_range))
-    details = {"n_profiles": len(members), "max_relative_eigen_residual": residual}
+    details = {"n_profiles": len(members), **_diagnostics(members)}
     tables = {
         "convergence": (("trial", "seed", "rho", "e"), profile_rows),
         "slopes": (("trial", "seed", "slope", "pass"), slope_rows),

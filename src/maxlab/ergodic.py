@@ -22,7 +22,7 @@ from .core import (
     lp_norm,
 )
 from .semigroup import EnsembleSpec, build_ensemble
-from .spectral import apply_to_field, eigen_residual, family_sup
+from .spectral import apply_to_field, eigen_residual, family_sup, orthonormality_defect
 
 __all__ = [
     "ErgodicReport",
@@ -101,13 +101,15 @@ class ErgodicReport:
 class HdsResult:
     """Reports per exponent plus flat CSV rows (seed, n, p, ratio, bound, pass).
 
-    ``max_relative_eigen_residual`` is the largest eigen_residual over the
-    ensemble's members.
+    ``max_relative_eigen_residual`` and ``max_orthonormality_defect`` are the
+    largest eigen_residual and orthonormality_defect over the ensemble's
+    members.
     """
 
     reports: tuple
     rows: tuple
     max_relative_eigen_residual: float
+    max_orthonormality_defect: float
 
     @property
     def passed(self) -> bool:
@@ -135,11 +137,12 @@ def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
     p_list = [float(p) for p in np.atleast_1d(p_list)]
     bounds = [hds_bound(p) for p in p_list]
     members = build_ensemble(spec, seed)
-    residual = 0.0
+    residual = defect = 0.0
     # (member seed, generator, field, its maximal function), scalar then vector per trial
     sups = []
     for member_seed, gen in members:
         residual = max(residual, eigen_residual(gen.operator, gen.decomposition))
+        defect = max(defect, orthonormality_defect(gen.decomposition))
         rng = np.random.default_rng(member_seed + 7)
         for _ in range(trials):
             f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
@@ -160,4 +163,4 @@ def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
         reports.append(ErgodicReport(p=p, ratios=tuple(ratios), bound=bound,
                                      passed=bool(worst <= bound + 1e-9)))
     return HdsResult(reports=tuple(reports), rows=tuple(rows),
-                     max_relative_eigen_residual=residual)
+                     max_relative_eigen_residual=residual, max_orthonormality_defect=defect)

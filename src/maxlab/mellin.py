@@ -47,6 +47,7 @@ from .spectral import (
     family_sup,
     gamma_values,
     multiplier_norm_bounds,
+    orthonormality_defect,
 )
 
 __all__ = [
@@ -136,6 +137,7 @@ class MaximalReport:
     max_triangle_excess: float
     passed: bool
     max_relative_eigen_residual: float
+    max_orthonormality_defect: float
 
 
 @dataclass(frozen=True)
@@ -434,6 +436,7 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
     if not members:
         raise ValueError("empty ensemble")
     residual = max(eigen_residual(gen.operator, gen.decomposition) for _, gen in members)
+    defect = max(orthonormality_defect(gen.decomposition) for _, gen in members)
 
     c_emp = []
     max_excess = -math.inf
@@ -466,7 +469,8 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
     passed = bool(ratio <= 2.0 and max_excess <= 0.0)
     return MaximalReport(plan=plan, d_list=tuple(d_list), c_emp=tuple(c_emp),
                          uniformity_ratio=float(ratio), max_triangle_excess=float(max_excess),
-                         passed=passed, max_relative_eigen_residual=residual)
+                         passed=passed, max_relative_eigen_residual=residual,
+                         max_orthonormality_defect=defect)
 
 
 def pointwise_convergence_profile(gen, field: BochnerField, psi: float,

@@ -207,8 +207,8 @@ class SectorGrid:
 
     def points(self) -> np.ndarray:
         """All grid nodes z = t * exp(i theta), radius-major order."""
-        return np.asarray([t * complex(math.cos(th), math.sin(th))
-                           for t in self.radii for th in self.angles])
+        units = [complex(math.cos(th), math.sin(th)) for th in self.angles]
+        return np.multiply.outer(self.radii, units).ravel()
 
 
 # Generator families an EnsembleSpec can name.

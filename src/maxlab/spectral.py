@@ -3,12 +3,15 @@
 A real matrix A is mu-selfadjoint when ``mu_i A_ij == mu_j A_ji``.
 Conjugating by ``D^(1/2)`` with ``D = diag(mu)`` turns A into an ordinary
 symmetric matrix, which LAPACK's ``eigh`` diagonalises; pulling the
-eigenvectors back gives a mu-orthonormal eigenbasis.  Every function of
-the operator acting on a field goes through one kernel, apply_multiplier,
-and every maximal function through its pointwise sup, family_sup.  Both
-take a batch (n, T, d) of T fields as well as one field, and family_sup
-applies a family's rows in blocks of at most FAMILY_BLOCK_ELEMENTS
-(512) rows x columns.
+eigenvectors back gives a mu-orthonormal eigenbasis, whose defect
+orthonormality_defect reports.  Every function of the operator acting on
+a field goes through one kernel, apply_multiplier, and every maximal
+function through its pointwise sup, family_sup.  Both take a batch
+(n, T, d) of T fields as well as one field, and share the kernel's two
+halves: the coefficients V^T D F, which family_sup computes once per
+family, and the product with V, which it makes for blocks of at most
+FAMILY_BLOCK_ELEMENTS (512) rows x columns, reducing each block to fiber
+norms from the squared moduli and taking one root per point after the sup.
 
 The module also carries a Lanczos evaluation of the complex Gamma
 function (needed by the multiplier transforms downstream) and exact
@@ -33,7 +36,6 @@ from .core import (
     ABS_TOL,
     BochnerField,
     WeightedSpace,
-    fiber_norm,
     field_parts,
 )
 
@@ -43,6 +45,7 @@ __all__ = [
     "GammaPoleError",
     "decompose",
     "eigen_residual",
+    "orthonormality_defect",
     "apply_multiplier",
     "apply_to_field",
     "family_sup",
@@ -150,20 +153,14 @@ def eigen_residual(op: MuSymmetricOperator, dec: SpectralDecomposition) -> float
     return float(np.abs(a @ v - v * dec.eigenvalues).max()) / scale
 
 
-def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
-    """Apply spectral multipliers to a field: ``V (g * V^T D F)`` with ``D = diag(mu)``.
+def orthonormality_defect(dec: SpectralDecomposition) -> float:
+    """mu-orthonormality defect ``max|V^T D V - I|`` of the eigenvector columns."""
+    v = dec.eigenvectors
+    return float(np.abs(v.T @ (dec.space.mu[:, None] * v) - np.eye(dec.n)).max())
 
-    ``gvals`` holds one value per eigenvalue, as one row (n,) or a family
-    of rows (K, n); ``values`` is a scalar field (n,) or an array (n, ...)
-    of any trailing shape, such as (n, d) columns or a batch (n, T, d),
-    which is applied as one set of columns.  The result has shape
-    ``gvals.shape[:-1] + values.shape``, one field per row.
 
-    numpy multiplies a single column by a matrix-vector product and several
-    by a matrix product, and the two round differently.  So a batch of
-    width-1 fields (n, T, 1) is applied one column at a time, and every
-    field of a batch comes out bit for bit as it does alone.
-    """
+def _checked(dec: SpectralDecomposition, gvals, values) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplier rows (n,) or (K, n) of finite values and a field with n rows, as arrays."""
     gvals = np.asarray(gvals)
     values = np.asarray(values)
     n = dec.n
@@ -173,15 +170,59 @@ def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
         raise ValueError(f"field values must have {n} rows, got shape {values.shape}")
     if not np.all(np.isfinite(gvals)):
         raise ValueError("spectral multiplier values must be finite")
-    cols = values.reshape(n, -1)
+    return gvals, values
+
+
+def _coefficients(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
+    """Coefficients ``V^T D F`` of a field's columns: (n, C), or (C, n, 1) for width-1 fields.
+
+    A batch of width-1 fields (n, T, 1) is kept as a stack of T (n, 1)
+    columns, so that each is multiplied alone, as a matrix-vector product.
+    """
+    cols = values.reshape(dec.n, -1)
     mu = dec.space.mu[:, None]
     if values.ndim > 2 and values.shape[-1] == 1:
-        # a stack of (n, 1) columns, (C, n, 1), then back to (..., n, C)
-        coeff = dec.eigenvectors.T @ (mu * cols.T[..., None])
-        out = (dec.eigenvectors @ (gvals[..., None, :, None] * coeff))[..., 0].swapaxes(-1, -2)
-    else:
-        coeff = dec.eigenvectors.T @ (mu * cols)
-        out = dec.eigenvectors @ (gvals[..., None] * coeff)
+        return dec.eigenvectors.T @ (mu * cols.T[..., None])
+    return dec.eigenvectors.T @ (mu * cols)
+
+
+def _product(dec: SpectralDecomposition, gvals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``V (g * coeff)`` for rows ``gvals`` (n,) or (K, n): ``gvals.shape[:-1] + (n, C)``.
+
+    A complex product casts the real V to complex once per call, into the
+    C-ordered copy that matmul would make for itself, so the same zgemm
+    runs on the same operands and gives the same bits.  Left to matmul, the
+    cast took about a fifth of the time of an (8, 48, 64) block.
+    """
+    # a stack of (n, 1) columns, (..., C, n, 1), is turned back to (..., n, C)
+    stacked = coeff.ndim == 3
+    scaled = gvals[..., None, :, None] * coeff if stacked else gvals[..., None] * coeff
+    v = dec.eigenvectors
+    kind = np.result_type(v, scaled)
+    if kind != v.dtype:
+        v = np.asarray(v, dtype=kind, order="C")
+    out = v @ scaled
+    return out[..., 0].swapaxes(-1, -2) if stacked else out
+
+
+def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
+    """Apply spectral multipliers to a field: ``V (g * V^T D F)`` with ``D = diag(mu)``.
+
+    ``gvals`` holds one value per eigenvalue, as one row (n,) or a family
+    of rows (K, n); ``values`` is a scalar field (n,) or an array (n, ...)
+    of any trailing shape, such as (n, d) columns or a batch (n, T, d),
+    which is applied as one set of columns.  The result has shape
+    ``gvals.shape[:-1] + values.shape``, one field per row.
+
+    The work has two halves, which family_sup shares: the coefficients
+    ``V^T D F`` of the columns, and the product ``V (g * coeff)`` for the
+    rows.  numpy multiplies a single column by a matrix-vector product and
+    several by a matrix product, and the two round differently.  So a batch
+    of width-1 fields (n, T, 1) is applied one column at a time, and every
+    field of a batch comes out bit for bit as it does alone.
+    """
+    gvals, values = _checked(dec, gvals, values)
+    out = _product(dec, gvals, _coefficients(dec, values))
     return out.reshape(gvals.shape[:-1] + values.shape)
 
 
@@ -195,23 +236,52 @@ def apply_to_field(dec: SpectralDecomposition, gvals, f):
 def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     """Pointwise sup over the rows g of a family of the fiber norms of g(L) F.
 
-    ``gvals`` is (K, n), or one row (n,); ``values`` is a scalar field (n,),
-    whose fiber norm is the modulus (``r`` is unused), or (n, ..., d) with
-    the l^r fiber norm over the last axis, for instance (n, d) columns or a
-    batch (n, T, d) of T fields; the result has shape ``values.shape[:-1]``.
-    Rows are applied in blocks of at most FAMILY_BLOCK_ELEMENTS rows x
-    columns, where a point holds ``values[0].size`` columns.
+    ``gvals`` is (K, n) with K >= 1, or one row (n,); ``values`` is a scalar
+    field (n,), whose fiber norm is the modulus (``r`` is unused), or
+    (n, ..., d) with the l^r fiber norm over the last axis, for instance
+    (n, d) columns or a batch (n, T, d) of T fields; the result has shape
+    ``values.shape[:-1]``.
+
+    One pass per family: the coefficients ``V^T D F`` are computed once,
+    then the rows are applied in blocks of at most FAMILY_BLOCK_ELEMENTS
+    rows x columns, where a point holds ``values[0].size`` columns, each
+    block by apply_multiplier's own product, so every value of g(L) F is
+    bit for bit apply_multiplier's.  Each block is reduced at once from the
+    squared modulus ``s = re^2 + im^2``: ``sum_d s`` for r = 2, ``max_d s``
+    for r = inf and a scalar field, ``sum_d s^(r/2)`` otherwise; the block
+    max over rows is kept, and one root per point, ``sqrt`` or ``**(1/r)``,
+    is taken after the sup.  The product stays a complex matrix product
+    (zgemm): a real one on the float view of a block is faster, but rounds
+    differently with the block's column count, so a field would not come
+    out bit for bit as it does alone in a batch.
+
+    The kernel is accurate while the entries of g(L) F have moduli between
+    about 1.5e-154 and 1.3e154: the squared modulus overflows above and
+    loses digits to underflow below.  The norm it replaces, the modulus of
+    each entry raised to the power r, overflowed no later for r >= 2, but
+    later for r < 2, r = inf and scalar fields.
     """
-    gvals = np.atleast_2d(gvals)
-    values = np.asarray(values)
+    gvals, values = _checked(dec, np.atleast_2d(gvals), values)
+    if gvals.shape[0] == 0:
+        raise ValueError("a family needs at least one row")
+    coeff = _coefficients(dec, values)
     scalar = values.ndim == 1
+    r = math.inf if scalar else float(r)
     rows = max(1, FAMILY_BLOCK_ELEMENTS // max(1, values[0].size))
     best = np.zeros(values.shape if scalar else values.shape[:-1])
     for start in range(0, gvals.shape[0], rows):
-        block = apply_multiplier(dec, gvals[start:start + rows], values)
-        norms = np.abs(block) if scalar else fiber_norm(block, r)
-        best = np.maximum(best, norms.max(axis=0))
-    return best
+        block = _product(dec, gvals[start:start + rows], coeff)
+        s = np.square(block.real)
+        if np.iscomplexobj(block):
+            s += np.square(block.imag)
+        s = s.reshape((-1,) + values.shape)
+        if not scalar:
+            if math.isinf(r):
+                s = s.max(axis=-1)
+            else:
+                s = (s if r == 2.0 else s ** (r / 2.0)).sum(axis=-1)
+        best = np.maximum(best, s.max(axis=0))
+    return np.sqrt(best) if r in (2.0, math.inf) else best ** (1.0 / r)
 
 
 def spectral_matrix(dec: SpectralDecomposition, gvals: np.ndarray) -> np.ndarray:

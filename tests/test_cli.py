@@ -481,14 +481,17 @@ def test_verify_semigroup_keeps_the_per_node_lower_bounds_away_from_p_two(tmp_pa
     ("maximal", ["--trials", "1"]),
     ("modulus", ["--trials", "1"]),
     ("pointwise", []),
+    ("verify-semigroup", []),
 ])
 def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command, flags):
     prefix = tmp_path / command
     assert main([command, "--n", "5", "--count", "2", *flags, "--out", str(prefix)]) == 0
     details = json.loads((tmp_path / f"{command}.manifest.json").read_text())["details"]
     assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
+    assert 0.0 <= details["max_orthonormality_defect"] < 1e-13
     paths = list(tmp_path.glob(f"{command}.*.csv"))
-    assert paths and not any("eigen" in path.read_text() for path in paths)
+    assert paths and not any("eigen" in path.read_text() or "orthonormal" in path.read_text()
+                             for path in paths)
     # only the modulus exemplar table has a residual column of its own
     assert not any("residual" in path.read_text() for path in paths
                    if path.name != "modulus.exemplar.csv")

@@ -220,6 +220,7 @@ def test_hds_experiment_rows_equal_the_per_p_loop(n, kind, d, r):
     assert [report.ratios for report in result.reports] == [
         tuple(row[3] for row in result.rows if row[2] == p) for p in p_list]
     assert 0.0 <= result.max_relative_eigen_residual < 1e-13
+    assert 0.0 <= result.max_orthonormality_defect < 1e-13
 
 
 def test_hds_experiment_computes_each_maximal_function_once(monkeypatch):

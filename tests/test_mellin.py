@@ -528,6 +528,7 @@ def test_maximal_experiment_equals_the_per_trial_loop(n, count, d_list, trials, 
     assert report.c_emp == c_emp
     assert report.max_triangle_excess == max_excess
     assert 0.0 < report.max_relative_eigen_residual < 1e-13
+    assert 0.0 <= report.max_orthonormality_defect < 1e-13
 
 
 def test_pointwise_profile_identity_flow_has_no_error():

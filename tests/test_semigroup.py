@@ -468,6 +468,21 @@ def test_sector_grid_structure():
     assert zero.angles.size == 1 and zero.angles[0] == 0.0
 
 
+@pytest.mark.parametrize("grid", [
+    SectorGrid.default(0.0),
+    SectorGrid.default(0.1 * math.pi),
+    # angles not symmetric about 0, and 0 itself among them
+    SectorGrid(0.1 * math.pi, np.geomspace(1e-2, 1e1, 5), np.array([-0.1 * math.pi, 0.0, 0.02, 0.05])),
+], ids=["psi=0", "default", "lopsided"])
+def test_sector_grid_points_match_the_node_loop(grid):
+    loop = np.asarray([t * complex(math.cos(th), math.sin(th))
+                       for t in grid.radii for th in grid.angles])
+    points = grid.points()
+    assert points.dtype == loop.dtype and points.shape == loop.shape
+    # byte for byte, so signed zeros count too
+    assert points.tobytes() == loop.tobytes()
+
+
 def test_sector_angles_match_the_inline_expression():
     # the inline angle ladder that sector grids, the decay certificate, the
     # pointwise profile and mellin-table rely on

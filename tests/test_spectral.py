@@ -29,6 +29,7 @@ from maxlab.spectral import (
     multiplier_norm_bounds,
     operator_norm,
     operator_norm_lower_bound,
+    orthonormality_defect,
     spectral_matrix,
 )
 
@@ -373,16 +374,20 @@ def test_family_sup_matches_per_node_loop(n):
         for count in (1, block - 1, block, block + 1, 216):
             for gvals in _families(dec, count, rng):
                 assert gvals.shape == (count, n)
-                scalar = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                want = _reference_family_sup(dec, gvals, scalar, None)
-                np.testing.assert_allclose(family_sup(dec, gvals, scalar, None), want,
-                                           rtol=1e-14, atol=0.0)
-                for d in (1, 4, 16):
-                    values = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-                    for r in (2.0, 4.0):
-                        want = _reference_family_sup(dec, gvals, values, r)
-                        np.testing.assert_allclose(family_sup(dec, gvals, values, r), want,
-                                                   rtol=1e-14, atol=0.0)
+                # the kernel squares moduli, so check it far from 1 as well,
+                # on one block and across a block boundary
+                for scale in (1.0, 1e-60, 1e60) if count in (1, block + 1) else (1.0,):
+                    scalar = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                    want = _reference_family_sup(dec, gvals, scalar, None)
+                    np.testing.assert_allclose(family_sup(dec, gvals, scalar, None), want,
+                                               rtol=1e-14, atol=0.0)
+                    for d in (1, 4, 16):
+                        values = scale * (rng.standard_normal((n, d))
+                                          + 1j * rng.standard_normal((n, d)))
+                        for r in (1.5, 2.0, 4.0, math.inf):
+                            want = _reference_family_sup(dec, gvals, values, r)
+                            np.testing.assert_allclose(family_sup(dec, gvals, values, r), want,
+                                                       rtol=1e-14, atol=0.0)
 
 
 def test_family_sup_rejects_nonfinite_rows():
@@ -400,6 +405,14 @@ def test_family_sup_rejects_nonfinite_rows():
                                   np.abs(apply_multiplier(gen.decomposition, np.full(4, 0.5), f)))
 
 
+def test_family_sup_rejects_an_empty_family():
+    # a sup over no rows is not 0, so an empty family is refused, not reduced
+    gen = random_generator(4, 1420)
+    for values, r in ((np.arange(4.0) + 1j, None), (np.ones((4, 2), dtype=complex), 2.0)):
+        with pytest.raises(ValueError, match="at least one row"):
+            family_sup(gen.decomposition, np.empty((0, 4)), values, r)
+
+
 def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
     from maxlab import spectral
 
@@ -407,13 +420,13 @@ def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
     gvals = np.exp(np.multiply.outer(-SectorGrid.default(0.3).points(), gen.decomposition.eigenvalues))
     assert gvals.shape == (216, 6)
     sizes = []
-    apply = spectral.apply_multiplier
+    product = spectral._product
 
-    def recording(dec, rows, values):
+    def recording(dec, rows, coeff):
         sizes.append(len(rows))
-        return apply(dec, rows, values)
+        return product(dec, rows, coeff)
 
-    monkeypatch.setattr(spectral, "apply_multiplier", recording)
+    monkeypatch.setattr(spectral, "_product", recording)
     rng = np.random.default_rng(1451)
     # columns per point -> rows per block: 512 // columns, at least 1
     for shape, rows in (((6,), 216), ((6, 16), 32), ((6, 4, 16), 8), ((6, 4, 1), 128),
@@ -422,6 +435,50 @@ def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         family_sup(gen.decomposition, gvals, values, 2.0)
         assert max(sizes) == rows and sum(sizes) == 216
+
+
+@pytest.mark.parametrize("n", [2, 8, 48])
+def test_product_keeps_the_bits_of_the_mixed_type_matmul(n):
+    from maxlab.spectral import _product
+
+    dec = random_generator(n, 1452).decomposition
+    v = dec.eigenvectors
+    rng = np.random.default_rng(1453)
+    for rows in (1, 8, 27):
+        gvals = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        for shape in ((n, 1), (n, 3), (n, 64), (3, n, 1), (16, n, 1)):
+            coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for g in (gvals, gvals[0], gvals.real):
+                if len(shape) == 3:
+                    want = (v @ (g[..., None, :, None] * coeff))[..., 0].swapaxes(-1, -2)
+                else:
+                    want = v @ (g[..., None] * coeff)
+                got = _product(dec, g, coeff)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a real product stays real
+    assert _product(dec, np.ones(n), np.ones((n, 2))).dtype == np.float64
+
+
+def test_family_sup_computes_the_coefficients_once(monkeypatch):
+    from maxlab import spectral
+
+    gen = random_generator(8, 1455)
+    dec = gen.decomposition
+    gvals = np.exp(np.multiply.outer(-SectorGrid.default(0.3).points(), dec.eigenvalues))
+    rng = np.random.default_rng(1456)
+    # a d = 16 batch of 4 fields: 216 rows in 27 blocks of 8
+    values = rng.standard_normal((8, 4, 16)) + 1j * rng.standard_normal((8, 4, 16))
+    want = family_sup(dec, gvals, values, 2.0)
+    calls = []
+    coefficients = spectral._coefficients
+
+    def counting(dec, values):
+        calls.append(values.shape)
+        return coefficients(dec, values)
+
+    monkeypatch.setattr(spectral, "_coefficients", counting)
+    assert np.array_equal(family_sup(dec, gvals, values, 2.0), want)
+    assert calls == [(8, 4, 16)]
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -842,3 +899,20 @@ def test_eigen_residual_is_relative_and_small():
     dec = decompose(op)
     shifted = type(dec)(dec.space, dec.eigenvalues + np.array([0.0, 1e-3]), dec.eigenvectors)
     assert eigen_residual(op, shifted) == pytest.approx(5e-4)
+
+
+def test_orthonormality_defect_is_small_and_sees_a_perturbed_basis():
+    cases = dict(_oracle_cases())
+    sp, a = cases["near-kernel generator"]
+    dec = decompose(MuSymmetricOperator(sp, a))
+    assert 0.0 < orthonormality_defect(dec) <= 1e-14 * sp.n
+    # a column stretched by 1 + e has squared norm (1 + e)^2, off by 2e + e^2
+    stretched = dec.eigenvectors.copy()
+    stretched[:, 3] *= 1.0 + 1e-6
+    defect = orthonormality_defect(SpectralDecomposition(sp, dec.eigenvalues, stretched))
+    assert defect == pytest.approx(2e-6 + 1e-12, rel=1e-8)
+    # a column tilted toward its neighbour by e has inner product e with it
+    tilted = dec.eigenvectors.copy()
+    tilted[:, 0] += 1e-3 * tilted[:, 1]
+    defect = orthonormality_defect(SpectralDecomposition(sp, dec.eigenvalues, tilted))
+    assert defect == pytest.approx(1e-3, rel=1e-8)
