@@ -162,14 +162,19 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
 
     (a -> b): families of fields satisfy ||sup_k |T f_k|||_p <= ||sup_k |f_k|||_p.
     (a -> c): the tensor extension contracts Bochner norms.
-    (a -> d): S + Re(e^{i theta} T) is entrywise nonnegative at SUBPOSITIVITY_THETAS.
+    (a -> d): S + Re(e^{i theta} T) is entrywise nonnegative at SUBPOSITIVITY_THETAS,
+    checked as one minimum over every angle and entry.
+
+    T and S must have finite entries, and S no entry below -ABS_TOL.
     """
     t_matrix = np.asarray(t_matrix)
     s_matrix = np.asarray(s_matrix)
     n = space.n
     if t_matrix.shape != (n, n) or s_matrix.shape != (n, n):
         raise ValueError(f"T and S must both have shape ({n}, {n})")
-    if np.asarray(s_matrix).min() < -ABS_TOL:
+    if not (np.all(np.isfinite(t_matrix)) and np.all(np.isfinite(s_matrix))):
+        raise ValueError("T and S must have finite entries")
+    if s_matrix.min() < -ABS_TOL:
         raise ValueError("candidate majorant S must be entrywise nonnegative")
     rng = np.random.default_rng(seed)
 
@@ -189,10 +194,8 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
         rhs = bochner_norm(space, field, p)
         tensor_margin = max(tensor_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
 
-    positivity_min = math.inf
-    for theta in SUBPOSITIVITY_THETAS:
-        entrywise = s_matrix + (np.exp(1j * theta) * t_matrix).real
-        positivity_min = min(positivity_min, float(entrywise.min()))
+    rotated = (np.exp(1j * SUBPOSITIVITY_THETAS)[:, None, None] * t_matrix).real
+    positivity_min = float((s_matrix + rotated).min())
 
     sup_passed = sup_margin <= 0.0
     tensor_passed = tensor_margin <= 0.0

@@ -316,11 +316,15 @@ def evolve(gen, z, f):
     return apply_to_field(gen.decomposition, np.exp(-z * gen.decomposition.eigenvalues), f)
 
 
-def _imaginary_power_values(lam: np.ndarray, u: float) -> np.ndarray:
-    """lambda^(iu) on the snapped spectrum, with the kernel convention 0^(iu) := 1."""
-    out = np.ones(lam.shape, dtype=complex)
+def _imaginary_power_values(lam: np.ndarray, u) -> np.ndarray:
+    """lambda^(iu) on the snapped spectrum, with the kernel convention 0^(iu) := 1.
+
+    An array of u gives one row per u.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.ones(u.shape + lam.shape, dtype=complex)
     pos = lam > 0.0
-    out[pos] = np.exp(1j * u * np.log(lam[pos]))
+    out[..., pos] = np.exp(np.multiply.outer(1j * u, np.log(lam[pos])))
     return out
 
 

@@ -17,8 +17,11 @@ from maxlab.cli import (
     _build_parser,
     _format_cell,
     _overrides_from_args,
+    _table_text,
+    criterion_decomposition,
     main,
 )
+from maxlab.core import BanachNormDescriptor, BochnerField, bochner_norm
 from maxlab.mellin import BipPlanError, maximal_theorem_experiment, truncation_bound
 from maxlab.semigroup import (
     ENSEMBLE_KINDS,
@@ -28,6 +31,7 @@ from maxlab.semigroup import (
     sector_contraction_probe,
     stein_angle,
 )
+from oracles import decomposition_residual_by_parts
 
 
 def test_command_roster():
@@ -243,6 +247,35 @@ def test_full_suite_echo_feeds_back_as_config(tmp_path, monkeypatch):
                         (cli.criterion_gamma, cli.criterion_planner))
     echo = _rerun_from_echo(tmp_path, "full-suite", ["--seed", "7"])
     assert echo == {"seed": 7, "output": str(tmp_path / "first")}
+
+
+def _decomposition_rows_by_triple(seed: int) -> list:
+    """Criterion 01's rows as its per-triple loop made them: one residual per (gen, z, F)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for index in range(50):
+        n = int(rng.integers(2, 17))
+        kind = "diffusion" if index % 2 == 0 else "contraction"
+        gen = random_generator(n, seed + 101 * index + 1, kind=kind)
+        for _ in range(10):
+            t = 10.0 ** rng.uniform(-3.0, 2.0)
+            angle = rng.uniform(-0.45 * math.pi, 0.45 * math.pi)
+            z = t * complex(math.cos(angle), math.sin(angle))
+            d = int(rng.integers(1, 9))
+            values = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+            fld = BochnerField(values, BanachNormDescriptor(d, 2.0))
+            residual = decomposition_residual_by_parts(gen, z, fld)
+            ratio = residual / bochner_norm(gen.space, fld, 2.0)
+            rows.append((index, n, d, z.real, z.imag, residual, ratio))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_criterion_01_table_matches_the_per_triple_loop(seed):
+    header, rows = criterion_decomposition(seed).tables["c01_decomposition"]
+    want = _decomposition_rows_by_triple(seed)
+    assert rows == want
+    assert _table_text(header, rows) == _table_text(header, want)
 
 
 def test_mellin_table_agrees_with_its_certificate(tmp_path):

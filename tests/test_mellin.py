@@ -37,6 +37,7 @@ from maxlab.mellin import (
     bip_plan,
     decay_constant,
     decomposition_residual,
+    decomposition_residuals,
     imaginary_power_estimate,
     m_theta,
     m_theta_maximal,
@@ -48,7 +49,7 @@ from maxlab.mellin import (
     sector_maximal,
     truncation_bound,
 )
-from oracles import imaginary_power_matrix, refine_sector_grid
+from oracles import decomposition_residual_by_parts, imaginary_power_matrix, refine_sector_grid
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -250,6 +251,100 @@ def test_decomposition_residual_is_roundoff():
         decomposition_residual(gen, 0.0, field)
     with pytest.raises(ValueError):
         decomposition_residual(gen, -1.0 + 0.5j, field)
+
+
+def _conservative_generator(n: int, seed: int) -> DiffusionGenerator:
+    """Random diffusion generator whose rows sum to 0, so lambda = 0 is an eigenvalue."""
+    rng = np.random.default_rng(seed)
+    sp = WeightedSpace(rng.uniform(0.5, 2.0, n))
+    w = rng.uniform(0.0, 1.0, (n, n))
+    w = 0.5 * (w + w.T)
+    np.fill_diagonal(w, 0.0)
+    ell = (np.diag(w.sum(axis=1)) - w) / sp.mu[:, None]
+    return DiffusionGenerator(MuSymmetricOperator(sp, ell))
+
+
+# real z, |arg z| = 0.45 pi on both sides, and radii from 1e-3 to 1e2
+_DECOMPOSITION_ZS = (0.7, 1e-3, 1e2,
+                     2.5 * complex(math.cos(0.45 * math.pi), math.sin(0.45 * math.pi)),
+                     2.5 * complex(math.cos(0.45 * math.pi), -math.sin(0.45 * math.pi)),
+                     0.3 + 0.2j, 40.0 - 25.0j)
+
+
+def test_decomposition_residuals_match_the_per_term_oracle():
+    rng = np.random.default_rng(81)
+    gens = [random_generator(1, 8100), random_generator(2, 8101, kind="contraction"),
+            random_generator(16, 8102, kind="contraction"),
+            DiffusionGenerator(MuSymmetricOperator(WeightedSpace(np.array([1.3])),
+                                                   np.zeros((1, 1)))),
+            _conservative_generator(2, 8103), _conservative_generator(16, 8104)]
+    # the last three have the kernel eigenvalue lambda = 0
+    assert [gen.injective for gen in gens] == [True, True, True, False, False, False]
+    for gen in gens:
+        zs, fields = [], []
+        for z in _DECOMPOSITION_ZS:
+            for d in (1, 8):
+                values = rng.standard_normal((gen.n, d)) + 1j * rng.standard_normal((gen.n, d))
+                zs.append(z)
+                fields.append(BochnerField(values, BanachNormDescriptor(d, 2.0 if d == 1 else 3.0)))
+            zs.append(z)
+            fields.append(rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n))
+        got = decomposition_residuals(gen, zs, fields)
+        assert got.shape == (len(zs),)
+        want = [decomposition_residual_by_parts(gen, z, f) for z, f in zip(zs, fields)]
+        assert got.tolist() == want
+        scales = np.array([bochner_norm(gen.space, f, 2.0) for f in fields])
+        assert np.all(got <= 1e-13 * scales)
+
+
+def test_a_batch_of_one_is_the_single_call():
+    gen = _conservative_generator(6, 8105)
+    rng = np.random.default_rng(82)
+    for z in _DECOMPOSITION_ZS:
+        for d in (1, 3):
+            field = BochnerField(rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d)),
+                                 BanachNormDescriptor(d, 2.0))
+            single = decomposition_residual(gen, z, field)
+            assert type(single) is float
+            assert decomposition_residuals(gen, [z], [field]).tolist() == [single]
+
+
+def test_decomposition_residual_refuses_z_off_the_open_right_half_plane():
+    gen = random_generator(4, 8106)
+    field = BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))
+    refusals = ((0.0, "z != 0"), (1j, r"\|arg z\| < pi/2"), (-1j, r"\|arg z\| < pi/2"),
+                (-1.0 + 0.5j, r"\|arg z\| < pi/2"), (-2.0, r"\|arg z\| < pi/2"),
+                # arg z rounds to pi/2, where m_theta is not defined
+                (1e-300 + 1j, r"\|arg z\| < pi/2"),
+                (complex(math.nan, 0.0), "finite z"), (complex(1.0, math.inf), "finite z"))
+    for z, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            decomposition_residual(gen, z, field)
+        # a bad z anywhere in a batch refuses the batch
+        with pytest.raises(ValueError, match=message):
+            decomposition_residuals(gen, [0.5, z, 1.0 + 1.0j], [field] * 3)
+
+
+def test_decomposition_residuals_validate_the_batch():
+    gen = random_generator(4, 8107)
+    field = BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))
+    with pytest.raises(ValueError, match="at least one"):
+        decomposition_residuals(gen, [], [])
+    with pytest.raises(ValueError, match="one field per z"):
+        decomposition_residuals(gen, [0.5, 1.0], [field])
+    with pytest.raises(ValueError, match="one field per z"):
+        decomposition_residuals(gen, [0.5], [field, field])
+    with pytest.raises(ValueError, match="takes one"):
+        decomposition_residuals(gen, [0.5], [[field, field]])
+    with pytest.raises(ValueError):
+        decomposition_residuals(gen, [0.5],
+                                [BochnerField(np.ones((5, 2)), BanachNormDescriptor(2, 2.0))])
+    # the coefficients of a field near the float limit overflow; a NaN residual
+    # would read as a pass under a Python max
+    huge = BochnerField(np.full((4, 2), 1e308), BanachNormDescriptor(2, 2.0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        decomposition_residuals(gen, [0.5, 0.5], [field, huge])
 
 
 def test_sector_maximal_dominates_grid_nodes_and_refines_monotonely():

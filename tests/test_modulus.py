@@ -16,6 +16,7 @@ from maxlab.semigroup import (
     semigroup_matrix,
 )
 from maxlab.modulus import (
+    SUBPOSITIVITY_THETAS,
     StabilizationError,
     linear_modulus,
     modulus_semigroup,
@@ -184,3 +185,43 @@ def test_subpositivity_rejects_negative_majorant():
     sp = WeightedSpace(np.ones(2))
     with pytest.raises(ValueError):
         subpositivity_suite(sp, np.eye(2), -np.eye(2), 2.0, BanachNormDescriptor(1, 2.0))
+
+
+def _positivity_min_by_angle(t_matrix, s_matrix) -> float:
+    """The per-angle loop that the one-array minimum replaced."""
+    least = math.inf
+    for theta in SUBPOSITIVITY_THETAS:
+        least = min(least, float((s_matrix + (np.exp(1j * theta) * t_matrix).real).min()))
+    return least
+
+
+def test_positivity_min_matches_the_angle_loop():
+    rng = np.random.default_rng(23)
+    descriptor = BanachNormDescriptor(2, 2.0)
+    for trial in range(6):
+        gen = random_generator(6, 2300 + trial, kind="contraction")
+        real_t = semigroup_matrix(gen, 0.4)
+        complex_t = 0.3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        # |T| passes with minimum 0 or rounding below; half of it fails with a negative one
+        for t in (real_t, complex_t):
+            for s in (np.abs(t), 0.5 * np.abs(t)):
+                report = subpositivity_suite(gen.space, t, s, 2.0, descriptor, trials=1, seed=0)
+                assert report.positivity_min == _positivity_min_by_angle(t, s)
+                assert report.positivity_passed == (report.positivity_min >= -1e-10)
+        assert _positivity_min_by_angle(complex_t, 0.5 * np.abs(complex_t)) < -1e-3
+
+
+def test_subpositivity_refuses_non_finite_matrices():
+    sp = WeightedSpace(np.ones(3))
+    descriptor = BanachNormDescriptor(1, 2.0)
+    s = np.eye(3)
+    s[0, 1] = s[2, 0] = math.nan
+    # a NaN majorant used to pass, its positivity minimum reading inf
+    with pytest.raises(ValueError, match="T and S must have finite entries"):
+        subpositivity_suite(sp, 0.5 * np.eye(3), s, 2.0, descriptor)
+    t = 0.5 * np.eye(3)
+    t[1, 2] = math.nan
+    with pytest.raises(ValueError, match="T and S must have finite entries"):
+        subpositivity_suite(sp, t, np.eye(3), 2.0, descriptor)
+    with pytest.raises(ValueError, match="T and S must have finite entries"):
+        subpositivity_suite(sp, 0.5 * np.eye(3), np.full((3, 3), math.inf), 2.0, descriptor)

@@ -11,11 +11,13 @@ from scipy.linalg import expm
 from maxlab.core import ABS_TOL, BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
 from maxlab.spectral import (
     MuSymmetricOperator,
+    apply_multiplier,
     decompose,
     operator_norm,
     operator_norm_lower_bound,
 )
 from maxlab.semigroup import (
+    _imaginary_power_values,
     ContractionSemigroupGenerator,
     DiffusionGenerator,
     EnsembleSpec,
@@ -573,6 +575,31 @@ def test_imaginary_power_is_l2_isometry():
         for u in (-4.0, -0.5, 0.0, 1.0, 3.3):
             assert abs(lp_norm(gen.space, imaginary_power(gen, u, f), 2.0) - base) \
                 <= 1e-10 * base
+
+
+def test_imaginary_power_rows_apply_as_one_family():
+    # criterion 08's route: the rows of a u grid, applied as one family, are
+    # bit for bit the per-u calls, and each row is the per-u formula
+    u_grid = np.linspace(-5.0, 5.0, 21)
+    path = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    kernel = DiffusionGenerator(MuSymmetricOperator(WeightedSpace(np.ones(3)), path))
+    rng = np.random.default_rng(56)
+    for gen in (random_generator(8, 6100), random_generator(5, 6101, kind="contraction"), kernel):
+        lam = gen.decomposition.eigenvalues
+        powers = _imaginary_power_values(lam, u_grid)
+        assert powers.shape == (u_grid.size, gen.n)
+        for u, row in zip(u_grid, powers):
+            want = np.ones(gen.n, dtype=complex)
+            want[lam > 0.0] = np.exp(1j * float(u) * np.log(lam[lam > 0.0]))
+            assert row.tobytes() == want.tobytes()
+        f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
+        field = BochnerField(rng.standard_normal((gen.n, 3)), BanachNormDescriptor(3, 2.0))
+        images = apply_multiplier(gen.decomposition, powers, f)
+        columns = apply_multiplier(gen.decomposition, powers, field.values)
+        for u, image, column in zip(u_grid, images, columns):
+            assert image.tobytes() == imaginary_power(gen, float(u), f).tobytes()
+            assert column.tobytes() == imaginary_power(gen, float(u), field).values.tobytes()
+    assert not kernel.injective
 
 
 def test_imaginary_power_group_law():
