@@ -10,7 +10,7 @@ cannot be written included.  CSV bodies are deterministic functions of
 the config (17 significant digits, '.' decimal, no timing columns);
 timings live only in the manifest.
 
-Each command takes and echoes only the config keys it reads (``_READS``).
+Each command takes and echoes only the config keys it reads (``_COMMANDS``).
 ``full-suite`` runs the whole acceptance battery; it writes the criterion
 tables, the manifest and a ``<prefix>.summary.json``.  The per-criterion
 functions are also imported directly by the test-suite.
@@ -25,23 +25,19 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    ABS_TOL,
-    BanachNormDescriptor,
-    BochnerField,
-    bochner_norm,
-    lp_norm,
-)
-from .ergodic import hds_bound, hds_experiment
+from .core import ABS_TOL, BanachNormDescriptor, bochner_norm, lp_norm, random_field
+from .ergodic import HDS_SLACK, hds_bound, hds_experiment
 from .mellin import (
+    DECAY_STABLE_REL,
     DECAY_U_NODES,
     DEFAULT_QUAD_H,
     DEFAULT_QUAD_U,
+    UNIFORMITY_MAX,
     BipPlanError,
     bip_plan,
     decay_constant,
@@ -65,6 +61,7 @@ from .semigroup import (
     SectorGrid,
     build_ensemble,
     check_sector_angle,
+    ensemble_diagnostics,
     _imaginary_power_values,
     exemplar_contraction_generator,
     random_generator,
@@ -72,21 +69,10 @@ from .semigroup import (
     sector_contraction_probe,
     semigroup_matrix,
 )
-from .spectral import apply_multiplier, complex_gamma, eigen_residual, orthonormality_defect
+from .spectral import apply_multiplier, complex_gamma
 
 __all__ = ["ExperimentConfig", "ConfigError", "run", "main",
            "COMMANDS", "DEFAULT_SEED", "ACCEPTANCE_CRITERIA"]
-
-COMMANDS = (
-    "verify-semigroup",
-    "modulus",
-    "hds",
-    "mellin-table",
-    "maximal",
-    "pointwise",
-    "bip-plan",
-    "full-suite",
-)
 
 DEFAULT_SEED = 20260817
 
@@ -97,6 +83,11 @@ QUAD_TOL = 1e-6
 # Window of the log-log slope of the pointwise approach error that passes, in
 # `pointwise` and criterion 11.
 SLOPE_WINDOW = (0.8, 1.2)
+
+# Largest error of the 2x2 modulus exemplar against its closed form, and of
+# its semigroup law, that passes, in `modulus` and criterion 06.
+EXEMPLAR_TOL = 1e-8
+EXEMPLAR_SEMIGROUP_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -113,38 +104,6 @@ _BASE_DEFAULTS = {
               "U": DEFAULT_QUAD_U, "h": DEFAULT_QUAD_H},
     "output": None,
 }
-
-_COMMAND_DEFAULTS = {
-    "verify-semigroup": {"ensemble": {"count": 12}},
-    "modulus": {"ensemble": {"kind": "contraction", "count": 25, "n": 6},
-                "exponents": {"p": 2.0}},
-    "hds": {"exponents": {"p": [1.5, 2.0, 3.0]}, "trials": 2},
-    "maximal": {"exponents": {"p": 4.0, "r": 4.0, "d": [1, 2, 4, 8, 16]},
-                "angles": {"psi": 0.1 * math.pi, "theta": 0.6},
-                "ensemble": {"count": 8}, "trials": 4},
-    "pointwise": {"angles": {"psi": 0.1 * math.pi}},
-    "bip-plan": {"exponents": {"p": 4.0, "r": 4.0}, "angles": {"psi": 0.1 * math.pi}},
-}
-
-# The config keys each command reads: a section names its keys, a top-level
-# key maps to ().  Any other key is a config error, the manifest echoes
-# exactly these, and where the command's default of exponents.p or .d is one
-# value, a list of more is refused.
-_SAMPLED = {"seed": (), "trials": (), "ensemble": ("n", "count", "kind", "c")}
-_SECTOR_GRID = ("t_min", "t_max", "n_radii", "n_angles")
-_READS = {command: {**reads, "output": ()} for command, reads in {
-    "verify-semigroup": {**_SAMPLED, "exponents": ("p",), "angles": ("psi",),
-                         "grids": _SECTOR_GRID},
-    "modulus": {**_SAMPLED, "exponents": ("p", "r", "d")},
-    "hds": {**_SAMPLED, "exponents": ("p", "r", "d")},
-    "mellin-table": {"angles": ("psi",), "grids": ("n_angles", "U", "h")},
-    "maximal": {**_SAMPLED, "exponents": ("p", "r", "d"), "angles": ("psi", "theta"),
-                "grids": _SECTOR_GRID},
-    "pointwise": {"seed": (), "ensemble": _SAMPLED["ensemble"], "exponents": ("r", "d"),
-                  "angles": ("psi",), "grids": ("n_angles",)},
-    "bip-plan": {"exponents": ("p", "r"), "angles": ("psi", "theta")},
-    "full-suite": {"seed": ()},
-}.items()}
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -206,8 +165,8 @@ class ExperimentConfig:
                      overrides: dict | None = None) -> "ExperimentConfig":
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-        merged = defaults = _deep_merge(_BASE_DEFAULTS, _COMMAND_DEFAULTS.get(command, {}))
-        reads = _READS[command]
+        _, command_defaults, reads = _COMMANDS[command]
+        merged = defaults = _deep_merge(_BASE_DEFAULTS, command_defaults)
         for source in (document or {}, overrides or {}):
             _require_keys(command, "config", source, tuple(reads))
             for section in (key for key, keys in reads.items() if keys and key in source):
@@ -303,7 +262,7 @@ class ExperimentConfig:
         }
         return {"command": self.command, **{
             key: {sub: echo[key][sub] for sub in keys} if keys else echo[key]
-            for key, keys in _READS[self.command].items()}}
+            for key, keys in _COMMANDS[self.command][2].items()}}
 
     def sector_grid(self) -> SectorGrid:
         return SectorGrid.default(self.psi, t_min=self.t_min, t_max=self.t_max,
@@ -350,27 +309,8 @@ def _write_artifacts(output: str, manifest: dict, tables: dict) -> list:
     return written
 
 
-def _manifest_skeleton(config: ExperimentConfig) -> dict:
-    return {
-        "config": config.document(),
-        "versions": {
-            "maxlab": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # Commands.  Each returns (passed, details, tables).
-
-def _diagnostics(members) -> dict:
-    """Largest eigen residual and mu-orthonormality defect over (seed, generator) members."""
-    gens = [gen for _, gen in members]
-    return {"max_relative_eigen_residual": max(eigen_residual(g.operator, g.decomposition)
-                                               for g in gens),
-            "max_orthonormality_defect": max(orthonormality_defect(g.decomposition) for g in gens)}
-
 
 def _cmd_verify_semigroup(config: ExperimentConfig):
     # construction checks the endpoint contraction property exactly, so every
@@ -398,7 +338,7 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
                "worst_sector_upper_bound": worst_ub, "probed_members": probe_limit,
                "sector_nodes": {status: statuses.count(status)
                                 for status in ("certified", "refuted", "open")},
-               **_diagnostics(members[:probe_limit])}
+               **ensemble_diagnostics(members[:probe_limit])}
     tables = {
         "contraction": (("trial", "seed", "n", "kind", "dominance_margin", "pass"),
                         contraction_rows),
@@ -431,7 +371,7 @@ def _cmd_modulus(config: ExperimentConfig):
         suite_rows.append((index, member_seed, gen.n, t, suite.sup_margin,
                            suite.tensor_margin, suite.positivity_min, suite.passed))
     details = {"exemplar_error": exemplar_err, "exemplar_deviation": deviation,
-               **_diagnostics(members)}
+               **ensemble_diagnostics(members)}
     tables = {
         "exemplar": (("t", "max_abs_error", "semigroup_deviation", "depth", "residual"),
                      exemplar_rows),
@@ -508,7 +448,7 @@ def _cmd_pointwise(config: ExperimentConfig):
     passed = True
     for index, (member_seed, gen) in enumerate(members):
         rng = np.random.default_rng(member_seed + 17)
-        field = _random_bochner(rng, gen.n, config.d_list[0], config.r)
+        field = random_field(rng, gen.n, BanachNormDescriptor(config.d_list[0], config.r))
         profile = pointwise_convergence_profile(gen, field, config.psi,
                                                 n_angles=config.n_angles)
         in_range = bool(SLOPE_WINDOW[0] <= profile.slope <= SLOPE_WINDOW[1])
@@ -516,7 +456,7 @@ def _cmd_pointwise(config: ExperimentConfig):
         for rho, err in zip(profile.radii, profile.errors):
             profile_rows.append((index, member_seed, float(rho), float(err)))
         slope_rows.append((index, member_seed, profile.slope, in_range))
-    details = {"n_profiles": len(members), **_diagnostics(members)}
+    details = {"n_profiles": len(members), **ensemble_diagnostics(members)}
     tables = {
         "convergence": (("trial", "seed", "rho", "e"), profile_rows),
         "slopes": (("trial", "seed", "slope", "pass"), slope_rows),
@@ -525,12 +465,8 @@ def _cmd_pointwise(config: ExperimentConfig):
 
 
 def _cmd_bip_plan(config: ExperimentConfig):
-    plan = bip_plan(config.p_list[0], config.r, config.psi, theta=config.theta)
-    details = {"p": plan.p, "r": plan.r, "psi": plan.psi, "theta": plan.theta,
-               "q": plan.q, "sigma": plan.sigma, "omega": plan.omega}
-    rows = [(plan.p, plan.r, plan.psi, plan.theta, plan.q, plan.sigma, plan.omega)]
-    tables = {"plan": (("p", "r", "psi", "theta", "q", "sigma", "omega"), rows)}
-    return True, details, tables
+    plan = asdict(bip_plan(config.p_list[0], config.r, config.psi, theta=config.theta))
+    return True, plan, {"plan": (tuple(plan), [tuple(plan.values())])}
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +481,12 @@ class CriterionResult:
     tables: dict = field(default_factory=dict)
 
 
-def _random_bochner(rng, n: int, d: int, r: float = 2.0) -> BochnerField:
-    values = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return BochnerField(values, BanachNormDescriptor(d, r))
-
-
 def criterion_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Exact two-term decomposition: residual <= 1e-10 ||F|| over 500 runs."""
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
+    tol = 1e-10
     for index in range(50):
         n = int(rng.integers(2, 17))
         kind = "diffusion" if index % 2 == 0 else "contraction"
@@ -564,16 +496,15 @@ def criterion_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
             t = 10.0 ** rng.uniform(-3.0, 2.0)
             angle = rng.uniform(-0.45 * math.pi, 0.45 * math.pi)
             zs.append(t * complex(math.cos(angle), math.sin(angle)))
-            fields.append(_random_bochner(rng, n, int(rng.integers(1, 9))))
+            fields.append(random_field(rng, n, BanachNormDescriptor(int(rng.integers(1, 9)), 2.0)))
         residuals = decomposition_residuals(gen, zs, fields).tolist()
         for z, fld, residual in zip(zs, fields, residuals):
             ratio = residual / bochner_norm(gen.space, fld, 2.0)
             worst = max(worst, ratio)
             rows.append((index, n, fld.d, z.real, z.imag, residual, ratio))
-    passed = worst <= 1e-10
     return CriterionResult(
-        name="decomposition-identity", passed=bool(passed),
-        detail=f"max residual ratio {worst:.3e} over 500 seeded (gen, z, F) triples (tol 1e-10)",
+        name="decomposition-identity", passed=bool(worst <= tol),
+        detail=f"max residual ratio {worst:.3e} over 500 seeded (gen, z, F) triples (tol {tol:g})",
         tables={"c01_decomposition": (("trial", "n", "d", "z_re", "z_im", "residual", "ratio"), rows)},
     )
 
@@ -596,7 +527,7 @@ def criterion_hds(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         name="maximal-ergodic-bound", passed=bool(passed),
         detail=(f"200 diffusion generators, worst ratio-bound margin {worst_margin:.3e} "
-                f"(must be <= 1e-9); |hds_bound(2) - 2*sqrt(2)| = {bound_err:.1e}"),
+                f"(must be <= {HDS_SLACK:g}); |hds_bound(2) - 2*sqrt(2)| = {bound_err:.1e}"),
         tables={"c02_hds": (("seed", "n", "p", "ratio", "bound", "pass"), rows)},
     )
 
@@ -605,16 +536,17 @@ def criterion_gamma(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Gamma identities: |Gamma(iu)|^2 u sinh(pi u) = pi, and the exact points."""
     rows = []
     worst = 0.0
+    tol, exact_tol = 1e-9, 1e-12
     for u in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         value = abs(complex_gamma(1j * u)) ** 2 * u * math.sinh(math.pi * u) / math.pi
         worst = max(worst, abs(value - 1.0))
         rows.append((u, value - 1.0))
     gamma_one = abs(complex_gamma(1.0) - 1.0)
     gamma_half = abs(complex_gamma(0.5) - math.sqrt(math.pi))
-    passed = worst <= 1e-9 and gamma_one <= 1e-12 and gamma_half <= 1e-12
+    passed = worst <= tol and gamma_one <= exact_tol and gamma_half <= exact_tol
     return CriterionResult(
         name="gamma-identities", passed=bool(passed),
-        detail=(f"max |identity - 1| = {worst:.3e} on u in {{0.1,...,10}} (tol 1e-9); "
+        detail=(f"max |identity - 1| = {worst:.3e} on u in {{0.1,...,10}} (tol {tol:g}); "
                 f"|Gamma(1)-1| = {gamma_one:.1e}, |Gamma(1/2)-sqrt(pi)| = {gamma_half:.1e}"),
         tables={"c03_gamma": (("u", "identity_minus_one"), rows)},
     )
@@ -630,10 +562,6 @@ def _reconstruction_rows(U: float, h: float, psi: float = math.pi / 4.0) -> list
             for lam, rec in zip(lams, mellin_reconstruct(theta, lams, U=U, h=h))]
 
 
-def _reconstruction_max_error(U: float, h: float) -> float:
-    return max(err for _, _, err in _reconstruction_rows(U, h))
-
-
 def criterion_mellin(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Quadrature matches the direct multiplier; error shrinks under refinement.
 
@@ -643,7 +571,7 @@ def criterion_mellin(seed: int = DEFAULT_SEED) -> CriterionResult:
     error already sits at that floor.
     """
     quad_u, quad_h = DEFAULT_QUAD_U, DEFAULT_QUAD_H
-    rows = [(case, u, h, _reconstruction_max_error(u, h))
+    rows = [(case, u, h, max(err for _, _, err in _reconstruction_rows(u, h)))
             for case, u, h in (("default", quad_u, quad_h), ("coarse_h", quad_u, 0.8),
                                ("half_h", quad_u, 0.4), ("coarse_U", 20.0, quad_h),
                                ("more_U", 30.0, quad_h))]
@@ -654,7 +582,7 @@ def criterion_mellin(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         name="mellin-reconstruction", passed=bool(passed),
         detail=(f"max error {err_default:.3e} at (U={quad_u:g}, h={quad_h:g}) on 25 log-lambda "
-                f"x 5 theta (tol 1e-6); halving h: {err_coarse_h:.3e} -> {err_half_h:.3e}; "
+                f"x 5 theta (tol {QUAD_TOL:g}); halving h: {err_coarse_h:.3e} -> {err_half_h:.3e}; "
                 f"U+10: {err_coarse_u:.3e} -> {err_more_u:.3e}"),
         tables={"c04_mellin": (("case", "U", "h", "max_error"), rows)},
     )
@@ -669,7 +597,7 @@ def criterion_decay(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         name="decay-certificate", passed=bool(passed),
         detail=(f"constant {certificate.constant:.6f}, refined {certificate.refined_constant:.6f}, "
-                f"relative change {certificate.rel_change:.2e} (< 5%)"),
+                f"relative change {certificate.rel_change:.2e} (< {DECAY_STABLE_REL:.0%})"),
         tables={"c05_decay": (("psi", "constant", "refined", "rel_change", "stable"), rows)},
     )
 
@@ -685,7 +613,8 @@ def _modulus_exemplar() -> tuple:
     exemplar_err = float(np.abs(result.S_t - expected).max())
     double = modulus_semigroup(gen, 2.0 * t_star)
     deviation = float(np.abs(double.S_t - result.S_t @ result.S_t).max())
-    return t_star, result, exemplar_err, deviation, exemplar_err <= 1e-8 and deviation < 1e-6
+    passed = exemplar_err <= EXEMPLAR_TOL and deviation < EXEMPLAR_SEMIGROUP_TOL
+    return t_star, result, exemplar_err, deviation, passed
 
 
 def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -706,9 +635,9 @@ def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
     passed = exemplar_ok and worst_violation <= ABS_TOL and checked >= 500
     return CriterionResult(
         name="modulus-semigroup", passed=bool(passed),
-        detail=(f"exemplar error {exemplar_err:.3e} (tol 1e-8), semigroup deviation "
-                f"{deviation:.3e} (tol 1e-6), worst domination violation {worst_violation:.3e} "
-                f"over {checked} trials"),
+        detail=(f"exemplar error {exemplar_err:.3e} (tol {EXEMPLAR_TOL:g}), semigroup "
+                f"deviation {deviation:.3e} (tol {EXEMPLAR_SEMIGROUP_TOL:g}), worst domination "
+                f"violation {worst_violation:.3e} over {checked} trials"),
         tables={"c06_modulus": (("trial", "n", "max_violation", "max_norm_excess", "pass"), rows)},
     )
 
@@ -749,6 +678,7 @@ def criterion_imaginary_powers(seed: int = DEFAULT_SEED) -> CriterionResult:
     """L^2 isometry of L^{iu}; at p = 4 the growth angle through the upper bounds is below pi/2."""
     u_grid = np.linspace(-5.0, 5.0, 21)
     worst_iso = 0.0
+    tol = 1e-10
     rng = np.random.default_rng(seed + 53)
     for index in range(20):
         gen = random_generator(8, seed + 709 * index + 7, kind="diffusion")
@@ -769,10 +699,10 @@ def criterion_imaginary_powers(seed: int = DEFAULT_SEED) -> CriterionResult:
         worst_omega = max(worst_omega, estimate.omega)
         worst_omega_ub = max(worst_omega_ub, estimate.omega_ub)
         fit_rows.append((index, estimate.K, estimate.omega, estimate.omega_ub))
-    passed = worst_iso <= 1e-10 and max(worst_omega, worst_omega_ub) < math.pi / 2.0
+    passed = worst_iso <= tol and max(worst_omega, worst_omega_ub) < math.pi / 2.0
     return CriterionResult(
         name="imaginary-powers", passed=bool(passed),
-        detail=(f"worst relative L^2 isometry deviation {worst_iso:.3e} (tol 1e-10); "
+        detail=(f"worst relative L^2 isometry deviation {worst_iso:.3e} (tol {tol:g}); "
                 f"at p=4 omega from lower bounds {worst_omega:.4f} <= omega "
                 f"<= {worst_omega_ub:.4f} from Riesz-Thorin upper bounds "
                 f"< pi/2 = {math.pi / 2.0:.4f}"),
@@ -794,21 +724,17 @@ def criterion_planner(seed: int = DEFAULT_SEED) -> CriterionResult:
     except BipPlanError:
         rejected = True
     passed = err_a <= 1e-12 and err_b <= 1e-12 and room_b and rejected
-    rows = [
-        (plan_a.p, plan_a.r, plan_a.psi, plan_a.theta, plan_a.q, plan_a.sigma, plan_a.omega),
-        (plan_b.p, plan_b.r, plan_b.psi, plan_b.theta, plan_b.q, plan_b.sigma, plan_b.omega),
-    ]
     return CriterionResult(
         name="interpolation-planner", passed=bool(passed),
         detail=(f"(2,2,0,theta=0.5) -> (q=2, sigma=3pi/4, omega=3pi/8) to {err_a:.1e}; "
                 f"(4,4,0.1pi,theta=0.6) -> (q=12, omega=0.35pi) to {err_b:.1e}; "
                 f"theta=0.4 rejected: {rejected}"),
-        tables={"c09_planner": (("p", "r", "psi", "theta", "q", "sigma", "omega"), rows)},
+        tables={"c09_planner": (tuple(asdict(plan_a)), [astuple(plan_a), astuple(plan_b)])},
     )
 
 
 def criterion_dimension_uniformity(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """C_emp(d) profile flat within a factor 2; triangle bound on every trial."""
+    """C_emp(d) profile flat within a factor UNIFORMITY_MAX; triangle bound on every trial."""
     spec = EnsembleSpec(n=8, count=8, kind="diffusion")
     report = maximal_theorem_experiment(spec, 4.0, 4.0, 0.1 * math.pi,
                                         d_list=(1, 2, 4, 8, 16), trials=4, seed=seed,
@@ -816,7 +742,7 @@ def criterion_dimension_uniformity(seed: int = DEFAULT_SEED) -> CriterionResult:
     rows = list(zip(report.d_list, report.c_emp))
     return CriterionResult(
         name="dimension-uniformity", passed=bool(report.passed),
-        detail=(f"C_emp(16)/C_emp(1) = {report.uniformity_ratio:.4f} (<= 2); "
+        detail=(f"C_emp(16)/C_emp(1) = {report.uniformity_ratio:.4f} (<= {UNIFORMITY_MAX:g}); "
                 f"max triangle excess {report.max_triangle_excess:.3e} (<= 0)"),
         tables={"c10_cemp": (("d", "c_emp"), rows)},
     )
@@ -830,7 +756,7 @@ def criterion_pointwise(seed: int = DEFAULT_SEED) -> CriterionResult:
     for index in range(50):
         gen = random_generator(8, seed + 1481 * index + 29, kind="diffusion")
         rng = np.random.default_rng(seed + index)
-        fld = _random_bochner(rng, 8, 4)
+        fld = random_field(rng, 8, BanachNormDescriptor(4, 2.0))
         profile = pointwise_convergence_profile(gen, fld, 0.1 * math.pi)
         monotone = bool(np.all(np.diff(profile.errors) <= 1e-12))
         in_range = bool(SLOPE_WINDOW[0] <= profile.slope <= SLOPE_WINDOW[1])
@@ -839,8 +765,8 @@ def criterion_pointwise(seed: int = DEFAULT_SEED) -> CriterionResult:
         rows.append((index, profile.slope, monotone, in_range))
     return CriterionResult(
         name="pointwise-convergence", passed=bool(passed),
-        detail=(f"50 profiles non-increasing with slope within 1 +/- 0.2; "
-                f"worst |slope - 1| = {worst_slope_dev:.3f}"),
+        detail=(f"50 profiles non-increasing with slope within [{SLOPE_WINDOW[0]:g}, "
+                f"{SLOPE_WINDOW[1]:g}]; worst |slope - 1| = {worst_slope_dev:.3f}"),
         tables={"c11_pointwise": (("trial", "slope", "monotone", "in_range"), rows)},
     )
 
@@ -903,27 +829,49 @@ def _cmd_full_suite(config: ExperimentConfig):
     return summary["passed"], details, tables
 
 
-_COMMAND_IMPL = {
-    "verify-semigroup": _cmd_verify_semigroup,
-    "modulus": _cmd_modulus,
-    "hds": _cmd_hds,
-    "mellin-table": _cmd_mellin_table,
-    "maximal": _cmd_maximal,
-    "pointwise": _cmd_pointwise,
-    "bip-plan": _cmd_bip_plan,
-    "full-suite": _cmd_full_suite,
-}
+# Each command: (body, its defaults over _BASE_DEFAULTS, the config keys it
+# reads).  A section names its keys, a top-level key maps to (), and every
+# command reads output.  Any other key is a config error, the manifest echoes
+# exactly these, and where the command's default of exponents.p or .d is one
+# value, a list of more is refused.
+_SAMPLED = {"seed": (), "trials": (), "ensemble": ("n", "count", "kind", "c")}
+_SECTOR_GRID = ("t_min", "t_max", "n_radii", "n_angles")
+_COMMANDS = {command: (body, defaults, {**reads, "output": ()})
+             for command, (body, defaults, reads) in {
+    "verify-semigroup": (_cmd_verify_semigroup, {"ensemble": {"count": 12}},
+                         {**_SAMPLED, "exponents": ("p",), "angles": ("psi",),
+                          "grids": _SECTOR_GRID}),
+    "modulus": (_cmd_modulus, {"ensemble": {"kind": "contraction", "count": 25, "n": 6},
+                               "exponents": {"p": 2.0}},
+                {**_SAMPLED, "exponents": ("p", "r", "d")}),
+    "hds": (_cmd_hds, {"exponents": {"p": [1.5, 2.0, 3.0]}, "trials": 2},
+            {**_SAMPLED, "exponents": ("p", "r", "d")}),
+    "mellin-table": (_cmd_mellin_table, {}, {"angles": ("psi",), "grids": ("n_angles", "U", "h")}),
+    "maximal": (_cmd_maximal, {"exponents": {"p": 4.0, "r": 4.0, "d": [1, 2, 4, 8, 16]},
+                               "angles": {"psi": 0.1 * math.pi, "theta": 0.6},
+                               "ensemble": {"count": 8}, "trials": 4},
+                {**_SAMPLED, "exponents": ("p", "r", "d"), "angles": ("psi", "theta"),
+                 "grids": _SECTOR_GRID}),
+    "pointwise": (_cmd_pointwise, {"angles": {"psi": 0.1 * math.pi}},
+                  {"seed": (), "ensemble": _SAMPLED["ensemble"], "exponents": ("r", "d"),
+                   "angles": ("psi",), "grids": ("n_angles",)}),
+    "bip-plan": (_cmd_bip_plan, {"exponents": {"p": 4.0, "r": 4.0},
+                                 "angles": {"psi": 0.1 * math.pi}},
+                 {"exponents": ("p", "r"), "angles": ("psi", "theta")}),
+    "full-suite": (_cmd_full_suite, {}, {"seed": ()}),
+}.items()}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one validated config; writes artifacts and returns the exit status."""
     started = time.perf_counter()
-    passed, details, tables = _COMMAND_IMPL[config.command](config)
+    passed, details, tables = _COMMANDS[config.command][0](config)
     elapsed = time.perf_counter() - started
-    manifest = _manifest_skeleton(config)
-    manifest["passed"] = bool(passed)
-    manifest["details"] = details
-    manifest["timings"] = {"seconds": round(elapsed, 3)}
+    manifest = {"config": config.document(), "passed": bool(passed), "details": details,
+                "timings": {"seconds": round(elapsed, 3)},
+                "versions": {"maxlab": __version__, "numpy": np.__version__,
+                             "python": sys.version.split()[0]}}
     for path in _write_artifacts(config.output, manifest, tables):
         print(path)
     print(f"{config.command}: {'PASS' if passed else 'FAIL'}")

@@ -19,6 +19,7 @@ __all__ = [
     "WeightedSpace",
     "BanachNormDescriptor",
     "BochnerField",
+    "random_field",
     "as_scalar_field",
     "lp_norm",
     "field_parts",
@@ -129,6 +130,12 @@ class BochnerField:
     def replace_values(self, values) -> "BochnerField":
         """Same descriptor, new per-point vectors."""
         return BochnerField(np.asarray(values, dtype=complex), self.norm)
+
+
+def random_field(rng, n: int, descriptor: BanachNormDescriptor) -> BochnerField:
+    """Seeded complex Gaussian Bochner field of n points: real parts drawn first, then imaginary."""
+    shape = (n, descriptor.d)
+    return BochnerField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), descriptor)
 
 
 def lp_norm(space: WeightedSpace, f, p: float) -> float:

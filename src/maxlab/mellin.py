@@ -29,6 +29,7 @@ from .core import (
     fiber_norm,
     field_parts,
     lp_norm,
+    random_field,
 )
 from .ergodic import _averaging_values, maximal_ergodic
 from .semigroup import (
@@ -36,19 +37,16 @@ from .semigroup import (
     SectorGrid,
     build_ensemble,
     check_sector_angle,
+    ensemble_diagnostics,
     _imaginary_power_values,
     sector_angles,
 )
 from .spectral import (
-    _coefficients,
-    _product,
     apply_multiplier,
     apply_to_field,
-    eigen_residual,
     family_sup,
     gamma_values,
     multiplier_norm_bounds,
-    orthonormality_defect,
 )
 
 __all__ = [
@@ -80,6 +78,12 @@ __all__ = [
 DEFAULT_QUAD_U = 40.0
 DEFAULT_QUAD_H = 0.01
 DECAY_U_NODES = 801
+
+# The decay certificate is stable when doubling the grids changes it by less than this share.
+DECAY_STABLE_REL = 0.05
+
+# Largest C_emp(d_max)/C_emp(d_min) of a dimension profile that passes.
+UNIFORMITY_MAX = 2.0
 
 # Distance of the planner's default theta above its floor max(|2/p - 1|, |2/r - 1|).
 BIP_THETA_MARGIN = 0.05
@@ -224,7 +228,7 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
 
     Scans a theta grid over [-psi, psi] and the u grid, then repeats on
     grids of doubled density; the certificate is flagged unstable when the
-    two scans differ by 5 percent or more.
+    two scans differ by DECAY_STABLE_REL or more.
     """
     psi = float(psi)
     if not (0.0 <= psi < math.pi / 2.0):
@@ -247,7 +251,8 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
     fine = float(n_hat_table(refine(thetas), refine(u_grid))[1].max())
     rel_change = abs(fine - coarse) / max(coarse, fine)
     return DecayCertificate(psi=psi, constant=coarse, refined_constant=fine,
-                            rel_change=float(rel_change), stable=bool(rel_change < 0.05))
+                            rel_change=float(rel_change),
+                            stable=bool(rel_change < DECAY_STABLE_REL))
 
 
 def apply_m_theta(gen, theta: float, t: float, field):
@@ -334,10 +339,10 @@ def decomposition_residuals(gen, zs, fields) -> np.ndarray:
     One pass per generator: the three rows exp(-z lambda), phi(t lambda)
     and m_theta(t lambda) of every z are built in one vectorised step, with
     t and theta taken per z by Python's abs and math.atan2 (numpy's round
-    differently); then each field's coefficients V^T D F are computed once
-    and its three rows applied as one stacked product.  Each residual is
-    bit for bit that of applying the three terms one at a time (evolve,
-    ergodic_average and apply_m_theta).
+    differently); then each field gets its three rows in one
+    apply_multiplier call.  Each residual is bit for bit that of applying
+    the three terms one at a time (evolve, ergodic_average and
+    apply_m_theta).
     """
     zs = [complex(z) for z in zs]
     fields = list(fields)
@@ -364,8 +369,8 @@ def decomposition_residuals(gen, zs, fields) -> np.ndarray:
     out = np.empty(len(zs))
     for k, field in enumerate(fields):
         values, r = field_parts(gen.space, field)
-        lhs, avg, mpart = _product(dec, rows[k], _coefficients(dec, values))
-        diff = (lhs - avg - mpart).reshape(values.shape)
+        lhs, avg, mpart = apply_multiplier(dec, rows[k], values)
+        diff = lhs - avg - mpart
         out[k] = lp_norm(gen.space, diff if r is None else fiber_norm(diff, r), 2.0)
     if not np.all(np.isfinite(out)):
         raise ValueError("decomposition residual is not finite")
@@ -451,7 +456,7 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
     For every fiber dimension d the worst ratio
     ||sector_maximal(F)||_p / ||F||_p over the seeded ensemble is
     recorded; the pass criterion combines dimension-uniformity
-    (C_emp(d_max)/C_emp(d_min) <= 2) with the per-trial triangle bound
+    (C_emp(d_max)/C_emp(d_min) <= UNIFORMITY_MAX) with the per-trial triangle bound
     against the ergodic and multiplier parts.  A member's trials at one d
     are one batch: each of the three maximal functions is called once on
     the list of its fields.
@@ -470,10 +475,6 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
     if grid is None:
         grid = SectorGrid.default(psi)
     members = build_ensemble(spec, seed)
-    if not members:
-        raise ValueError("empty ensemble")
-    residual = max(eigen_residual(gen.operator, gen.decomposition) for _, gen in members)
-    defect = max(orthonormality_defect(gen.decomposition) for _, gen in members)
 
     c_emp = []
     max_excess = -math.inf
@@ -482,9 +483,7 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
         worst = 0.0
         for member_seed, gen in members:
             rng = np.random.default_rng(member_seed + 13)
-            fields = [BochnerField(rng.standard_normal((gen.n, d))
-                                   + 1j * rng.standard_normal((gen.n, d)), descriptor)
-                      for _ in range(trials)]
+            fields = [random_field(rng, gen.n, descriptor) for _ in range(trials)]
             sector = sector_maximal(gen, fields, grid)
             ergodic = maximal_ergodic(gen, fields, grid.radii)
             multiplier = m_theta_maximal(gen, fields, grid)
@@ -503,11 +502,10 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
         ratio = top / low
     else:
         ratio = 1.0 if top == 0.0 else math.inf
-    passed = bool(ratio <= 2.0 and max_excess <= 0.0)
+    passed = bool(ratio <= UNIFORMITY_MAX and max_excess <= 0.0)
     return MaximalReport(plan=plan, d_list=tuple(d_list), c_emp=tuple(c_emp),
                          uniformity_ratio=float(ratio), max_triangle_excess=float(max_excess),
-                         passed=passed, max_relative_eigen_residual=residual,
-                         max_orthonormality_defect=defect)
+                         passed=passed, **ensemble_diagnostics(members))
 
 
 def pointwise_convergence_profile(gen, field: BochnerField, psi: float,

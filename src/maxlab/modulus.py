@@ -19,10 +19,10 @@ import numpy as np
 from .core import (
     ABS_TOL,
     BanachNormDescriptor,
-    BochnerField,
     WeightedSpace,
     bochner_norm,
     lp_norm,
+    random_field,
 )
 from .semigroup import ContractionSemigroupGenerator, semigroup_matrix
 
@@ -188,9 +188,8 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
 
     tensor_margin = -math.inf
     for _ in range(trials):
-        values = rng.standard_normal((n, descriptor.d)) + 1j * rng.standard_normal((n, descriptor.d))
-        field = BochnerField(values, descriptor)
-        lhs = bochner_norm(space, field.replace_values(t_matrix @ values), p)
+        field = random_field(rng, n, descriptor)
+        lhs = bochner_norm(space, field.replace_values(t_matrix @ field.values), p)
         rhs = bochner_norm(space, field, p)
         tensor_margin = max(tensor_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
 

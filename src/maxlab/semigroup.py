@@ -28,7 +28,9 @@ from .spectral import (
     SpectralDecomposition,
     apply_to_field,
     decompose,
+    eigen_residual,
     multiplier_norm_bounds,
+    orthonormality_defect,
     spectral_matrix,
 )
 
@@ -42,6 +44,7 @@ __all__ = [
     "ENSEMBLE_KINDS",
     "random_generator",
     "build_ensemble",
+    "ensemble_diagnostics",
     "exemplar_contraction_generator",
     "semigroup_matrix",
     "evolve",
@@ -289,6 +292,14 @@ def build_ensemble(spec: EnsembleSpec, seed: int) -> list:
             gen = random_generator(spec.n, member_seed, kind=spec.kind, c=spec.c)
         members.append((member_seed, gen))
     return members
+
+
+def ensemble_diagnostics(members) -> dict:
+    """Largest eigen residual and mu-orthonormality defect over (seed, generator) members."""
+    gens = [gen for _, gen in members]
+    return {"max_relative_eigen_residual": max(eigen_residual(g.operator, g.decomposition)
+                                               for g in gens),
+            "max_orthonormality_defect": max(orthonormality_defect(g.decomposition) for g in gens)}
 
 
 def exemplar_contraction_generator() -> ContractionSemigroupGenerator:

@@ -128,15 +128,11 @@ def decompose(op: MuSymmetricOperator) -> SpectralDecomposition:
     s = np.sqrt(op.space.mu)
     m = (s[:, None] * op.entries) / s[None, :]
     m = 0.5 * (m + m.T)
-    w, vecs = np.linalg.eigh(m)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    vecs = vecs[:, order] / s[:, None]
+    w, vecs = np.linalg.eigh(m)  # eigenvalues already ascending
+    vecs = vecs / s[:, None]
     # deterministic sign: make the largest-magnitude component positive
-    for k in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[i, k] < 0.0:
-            vecs[:, k] = -vecs[:, k]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.where(top < 0.0, -1.0, 1.0)
     scale = float(np.abs(w).max(initial=0.0))
     if scale > 0.0:
         w[np.abs(w) < KERNEL_SNAP_REL * scale] = 0.0

@@ -338,6 +338,25 @@ def test_main_hds_is_byte_deterministic(tmp_path):
     assert len(rows) == 2 * 2  # two members, one trial, scalar plus vector rows
 
 
+# Small runs of each command; mellin-table, bip-plan and full-suite read no ensemble keys.
+_SMALL_RUNS = {"verify-semigroup": ["--n", "3", "--count", "2", "--trials", "1"],
+               "modulus": ["--n", "3", "--count", "2", "--trials", "1"],
+               "hds": ["--n", "3", "--count", "2", "--trials", "1"],
+               "maximal": ["--n", "3", "--count", "2", "--trials", "1"],
+               "pointwise": ["--n", "3", "--count", "2"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_is_byte_deterministic(tmp_path, command):
+    args = [command, *_SMALL_RUNS.get(command, [])]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    first = sorted(path.name[2:] for path in tmp_path.glob("a.*.csv"))
+    assert first and first == sorted(path.name[2:] for path in tmp_path.glob("b.*.csv"))
+    for name in first:
+        assert (tmp_path / f"a.{name}").read_bytes() == (tmp_path / f"b.{name}").read_bytes()
+
+
 def test_main_identity_ensemble_ratios_are_exactly_one(tmp_path):
     prefix = tmp_path / "flat"
     args = ["hds", "--kind", "identity", "--n", "3", "--count", "2",

@@ -14,6 +14,7 @@ from maxlab.core import (
     fiber_norm,
     field_parts,
     lp_norm,
+    random_field,
 )
 from oracles import total_mass
 
@@ -161,3 +162,12 @@ def test_field_parts_rejects_bad_batches():
         field_parts(sp, [f, f])
     with pytest.raises(ValueError):
         bochner_norm(sp, [f, f], 2.0)
+
+
+def test_random_field_draws_real_parts_then_imaginary_parts():
+    descriptor = BanachNormDescriptor(3, 4.0)
+    field = random_field(np.random.default_rng(11), 5, descriptor)
+    rng = np.random.default_rng(11)
+    expected = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    assert field.values.tobytes() == expected.tobytes()
+    assert field.norm is descriptor

@@ -1,5 +1,6 @@
 """The runtime imports only the standard library, numpy and maxlab itself,
-and every name a module exports is defined."""
+every name a module exports is defined, and only spectral.py reaches the
+two halves of the multiplier kernel, whose one entry is apply_multiplier."""
 
 import ast
 import importlib
@@ -53,3 +54,30 @@ def test_check_flags_a_stale_export():
     module.__all__ = ["kept", "deleted"]
     module.kept = None
     assert _unresolved(module) == ["deleted"]
+
+
+KERNEL_HALVES = {"_coefficients", "_product"}
+
+
+def _kernel_halves_used(tree):
+    """The kernel halves a module imports by name or reaches as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return sorted(used & KERNEL_HALVES)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "spectral.py"],
+                         ids=lambda path: path.name)
+def test_only_spectral_reaches_the_kernel_halves(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _kernel_halves_used(tree), f"{path.name} uses {_kernel_halves_used(tree)}"
+
+
+def test_check_flags_a_kernel_half_import():
+    tree = ast.parse("from .spectral import _product, apply_multiplier\n"
+                     "from . import spectral\ncoeff = spectral._coefficients\n")
+    assert _kernel_halves_used(tree) == ["_coefficients", "_product"]

@@ -13,8 +13,10 @@ from maxlab.spectral import (
     MuSymmetricOperator,
     apply_multiplier,
     decompose,
+    eigen_residual,
     operator_norm,
     operator_norm_lower_bound,
+    orthonormality_defect,
 )
 from maxlab.semigroup import (
     _imaginary_power_values,
@@ -23,6 +25,7 @@ from maxlab.semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    ensemble_diagnostics,
     evolve,
     exemplar_contraction_generator,
     imaginary_power,
@@ -627,3 +630,13 @@ def test_p2_operator_norm_of_imaginary_power_is_one():
             m = imaginary_power_matrix(gen, u)
             lb = operator_norm_lower_bound(gen.space, m, 2.0, trials=20, seed=trial)
             assert lb == pytest.approx(1.0, abs=1e-10)
+
+
+def test_ensemble_diagnostics_is_the_largest_residual_and_defect_over_members():
+    members = build_ensemble(EnsembleSpec(n=6, count=5, kind="contraction"), 3)
+    gens = [gen for _, gen in members]
+    assert ensemble_diagnostics(members) == {
+        "max_relative_eigen_residual": max(eigen_residual(g.operator, g.decomposition)
+                                           for g in gens),
+        "max_orthonormality_defect": max(orthonormality_defect(g.decomposition) for g in gens),
+    }
