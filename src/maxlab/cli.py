@@ -5,10 +5,12 @@ grids and the output prefix; verdict slacks are module constants, not
 config keys.  Each command executes a named experiment, writes
 ``<prefix>.<table>.csv`` result tables plus a ``<prefix>.manifest.json``
 echoing the inputs, and exits 0 when every pass criterion holds, 1 on a
-numeric failure and 2 on a config or usage error, an output prefix that
-cannot be written included.  CSV bodies are deterministic functions of
-the config (17 significant digits, '.' decimal, no timing columns);
-timings live only in the manifest.
+numeric failure, 2 on a config or usage error or an artifact that cannot
+be written, and 3 when the command raises, printing one ``error:`` line
+and writing, where it can, a manifest with ``passed: false`` and an
+``error`` record.  CSV bodies are deterministic functions of the config
+(17 significant digits, '.' decimal, no timing columns); timings live
+only in the manifest.
 
 Each command takes and echoes only the config keys it reads (``_COMMANDS``).
 ``full-suite`` runs the whole acceptance battery; it writes the criterion
@@ -19,6 +21,7 @@ functions are also imported directly by the test-suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import numbers
@@ -387,8 +390,9 @@ def _cmd_hds(config: ExperimentConfig):
     descriptor = BanachNormDescriptor(config.d_list[0], config.r)
     result = hds_experiment(config.ensemble, config.p_list, trials=config.trials,
                             seed=config.seed, descriptor=descriptor)
+    # np.max keeps a NaN ratio, which max would drop
     details = {
-        f"max_ratio_p_{report.p:g}": max(report.ratios) for report in result.reports
+        f"max_ratio_p_{report.p:g}": float(np.max(report.ratios)) for report in result.reports
     }
     details["bounds"] = {f"{report.p:g}": report.bound for report in result.reports}
     details["max_relative_eigen_residual"] = result.max_relative_eigen_residual
@@ -866,12 +870,26 @@ COMMANDS = tuple(_COMMANDS)
 def run(config: ExperimentConfig) -> int:
     """Execute one validated config; writes artifacts and returns the exit status."""
     started = time.perf_counter()
-    passed, details, tables = _COMMANDS[config.command][0](config)
+    error = None
+    try:
+        passed, details, tables = _COMMANDS[config.command][0](config)
+    except OSError:  # a body writes nothing but artifacts; main reports it
+        raise
+    except Exception as exc:
+        passed, details, tables = False, {}, {}
+        error = {"type": type(exc).__name__, "message": str(exc)}
     elapsed = time.perf_counter() - started
     manifest = {"config": config.document(), "passed": bool(passed), "details": details,
                 "timings": {"seconds": round(elapsed, 3)},
                 "versions": {"maxlab": __version__, "numpy": np.__version__,
                              "python": sys.version.split()[0]}}
+    if error is not None:
+        # the crash is the outcome, whether or not its manifest can be written
+        with contextlib.suppress(OSError):
+            print(*_write_artifacts(config.output, dict(manifest, error=error), tables), sep="\n")
+        print(f"error: {config.command} crashed: {error['type']}: {error['message']}",
+              file=sys.stderr)
+        return 3
     for path in _write_artifacts(config.output, manifest, tables):
         print(path)
     print(f"{config.command}: {'PASS' if passed else 'FAIL'}")
@@ -942,10 +960,10 @@ def main(argv=None) -> int:
         return 2
     try:
         os.makedirs(os.path.dirname(config.output) or ".", exist_ok=True)
+        return run(config)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Finite weighted measure spaces and the fields that live on them.
 
 A space is a finite set of points carrying strictly positive masses
-``mu_i``.  Scalar fields are 1-d complex arrays indexed by the points;
-Bochner fields attach a finite-dimensional l^r fiber to every point.
+``mu_i``.  A field is a Bochner field, a vector of a finite-dimensional
+l^r fiber at every point; a scalar field is one of fiber dimension 1.
 All weighted p-norms are computed from the raw masses, nothing is
 normalised.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "BanachNormDescriptor",
     "BochnerField",
     "random_field",
-    "as_scalar_field",
     "lp_norm",
     "field_parts",
     "bochner_norm",
@@ -86,16 +85,6 @@ class BanachNormDescriptor:
     @property
     def is_sup(self) -> bool:
         return math.isinf(self.r)
-
-
-def as_scalar_field(space: WeightedSpace, values) -> np.ndarray:
-    """Validate and coerce ``values`` to a complex scalar field over ``space``."""
-    f = np.asarray(values, dtype=complex)
-    if f.shape != (space.n,):
-        raise ValueError(f"scalar field must have shape ({space.n},), got {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("scalar field contains non-finite entries")
-    return f
 
 
 @dataclass(frozen=True)
@@ -165,14 +154,14 @@ def fiber_norm(values, r: float) -> np.ndarray:
     return (a**r).sum(axis=-1) ** (1.0 / r)
 
 
-def field_parts(space: WeightedSpace, f, batch: bool = False) -> tuple[np.ndarray, float | None]:
-    """(values, r) of a Bochner field over ``space``; a scalar field gives (values, None).
+def field_parts(space: WeightedSpace, f, batch: bool = False) -> tuple[np.ndarray, float]:
+    """(values, r) of a Bochner field over ``space``.
 
     With ``batch``, ``f`` may also be a list of T Bochner fields sharing one
-    descriptor, whose values are stacked as (n, T, d); without it a list of
-    Bochner fields is rejected.
+    descriptor, whose values are stacked as (n, T, d); without it a list is
+    rejected.  Anything else, a bare array included, raises ValueError.
     """
-    if isinstance(f, list) and (not f or any(isinstance(g, BochnerField) for g in f)):
+    if isinstance(f, list):
         if not batch:
             raise ValueError("this function takes one field, not a list of fields")
         if not f:
@@ -184,14 +173,14 @@ def field_parts(space: WeightedSpace, f, batch: bool = False) -> tuple[np.ndarra
         if any(g.n != space.n for g in f):
             raise ValueError(f"every field of a batch must have the space's {space.n} points")
         return np.stack([g.values for g in f], axis=1), f[0].norm.r
-    if isinstance(f, BochnerField):
-        if f.n != space.n:
-            raise ValueError(f"field has {f.n} points, space has {space.n}")
-        return f.values, f.norm.r
-    return as_scalar_field(space, f), None
+    if not isinstance(f, BochnerField):
+        raise ValueError(f"a field is a BochnerField (d = 1 if scalar), got {type(f).__name__}")
+    if f.n != space.n:
+        raise ValueError(f"field has {f.n} points, space has {space.n}")
+    return f.values, f.norm.r
 
 
 def bochner_norm(space: WeightedSpace, field, p: float) -> float:
-    """Weighted L^p norm of the per-point fiber norms of a Bochner or scalar field."""
+    """Weighted L^p norm of the per-point fiber norms of a Bochner field."""
     values, r = field_parts(space, field)
-    return lp_norm(space, values if r is None else fiber_norm(values, r), p)
+    return lp_norm(space, fiber_norm(values, r), p)

@@ -4,7 +4,9 @@ The time average of the semigroup is evaluated in closed form through
 the spectral function ``phi_t(lambda) = (1 - exp(-t lambda))/(t lambda)``
 (with ``phi_t(0) = 1``), so no integration error enters the inequality
 tests; quadrature appears only as an oracle in the test-suite.  Maximal
-functions are grid surrogates of the supremum over t > 0.
+functions are grid surrogates of the supremum over t > 0.  Every field
+is a Bochner field; the scalar Hopf-Dunford-Schwartz case is the fiber
+of dimension d = 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _averaging_values(lam: np.ndarray, t) -> np.ndarray:
 
 
 def ergodic_average(gen, t: float, f):
-    """Closed-form time average (1/t) int_0^t exp(-s L) f ds of a scalar or Bochner field."""
+    """Closed-form time average (1/t) int_0^t exp(-s L) f ds of a Bochner field."""
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"averaging time must be positive and finite, got {t}")
@@ -65,7 +67,7 @@ def ergodic_average(gen, t: float, f):
 
 
 def maximal_ergodic(gen, f, t_grid=None) -> np.ndarray:
-    """Pointwise sup over the time grid of |A(t) f|_B; the modulus for a scalar field.
+    """Pointwise sup over the time grid of |A(t) f|_B; the modulus for d = 1.
 
     ``f`` may also be a list of T Bochner fields sharing one descriptor;
     the result is then (n, T), column j being the sup for ``f[j]``, equal
@@ -121,13 +123,13 @@ class HdsResult:
 
 def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
                    seed: int = 0, descriptor: BanachNormDescriptor | None = None) -> HdsResult:
-    """Scalar and vector maximal-ergodic ratios over a seeded ensemble.
+    """Maximal-ergodic ratios of d = 1 and d-dimensional trials over a seeded ensemble.
 
     Every ratio ||sup_t |A(t) f|||_p / ||f||_p is compared against
-    hds_bound(p) + HDS_SLACK; the vector trials use the given fiber descriptor
-    (default l^2 of dimension 4).  Each field is drawn and its maximal
-    function computed once, before the loop over exponents, since the sup
-    does not depend on p.
+    hds_bound(p) + HDS_SLACK, and a report passes when all its rows do.  Each
+    trial draws a d = 1 field, the scalar case, then one of the given descriptor
+    (default l^2 of dimension 4); its maximal function is computed once, before
+    the loop over exponents, since the sup does not depend on p.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -140,15 +142,14 @@ def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
     p_list = [float(p) for p in np.atleast_1d(p_list)]
     bounds = [hds_bound(p) for p in p_list]
     members = build_ensemble(spec, seed)
-    # (member seed, generator, field, its maximal function), scalar then vector per trial
+    # (member seed, generator, field, its maximal function), d = 1 then the descriptor
     sups = []
     for member_seed, gen in members:
         rng = np.random.default_rng(member_seed + 7)
         for _ in range(trials):
-            f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
-            sups.append((member_seed, gen, f, maximal_ergodic(gen, f, t_grid)))
-            field = random_field(rng, gen.n, descriptor)
-            sups.append((member_seed, gen, field, maximal_ergodic(gen, field, t_grid)))
+            for fiber in (BanachNormDescriptor(1, 2.0), descriptor):
+                field = random_field(rng, gen.n, fiber)
+                sups.append((member_seed, gen, field, maximal_ergodic(gen, field, t_grid)))
     reports = []
     rows = []
     for p, bound in zip(p_list, bounds):
@@ -157,7 +158,7 @@ def hds_experiment(spec: EnsembleSpec, p_list, t_grid=None, trials: int = 4,
             ratio = lp_norm(gen.space, sup, p) / bochner_norm(gen.space, f, p)
             ratios.append(ratio)
             rows.append((member_seed, gen.n, p, ratio, bound, ratio <= bound + HDS_SLACK))
-        worst = max(ratios)
+        # the conjunction of the row verdicts, which a NaN ratio fails
         reports.append(ErgodicReport(p=p, ratios=tuple(ratios), bound=bound,
-                                     passed=bool(worst <= bound + HDS_SLACK)))
+                                     passed=all(row[-1] for row in rows[-len(sups):])))
     return HdsResult(reports=tuple(reports), rows=tuple(rows), **ensemble_diagnostics(members))

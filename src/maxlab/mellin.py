@@ -256,7 +256,7 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
 
 
 def apply_m_theta(gen, theta: float, t: float, field):
-    """m_theta(t L) on a scalar or Bochner field, via the direct formula.
+    """m_theta(t L) on a Bochner field, via the direct formula.
 
     The direct formula is defined on the whole spectrum including the
     kernel (m_theta(0) = 0), so no Mellin representation is involved here.
@@ -333,8 +333,8 @@ def decomposition_residuals(gen, zs, fields) -> np.ndarray:
     with theta = arg z, for z in the open right half-plane |arg z| < pi/2
     (m_theta needs |theta| < pi/2); the identity holds eigenvalue by
     eigenvalue, so each residual is roundoff-level.  ``zs`` and ``fields``
-    are equal-length, nonempty sequences; each field is one scalar or
-    Bochner field, and the residual uses its own fiber norm.
+    are equal-length, nonempty sequences; each field is one Bochner field,
+    and the residual uses its own fiber norm.
 
     One pass per generator: the three rows exp(-z lambda), phi(t lambda)
     and m_theta(t lambda) of every z are built in one vectorised step, with
@@ -371,7 +371,7 @@ def decomposition_residuals(gen, zs, fields) -> np.ndarray:
         values, r = field_parts(gen.space, field)
         lhs, avg, mpart = apply_multiplier(dec, rows[k], values)
         diff = lhs - avg - mpart
-        out[k] = lp_norm(gen.space, diff if r is None else fiber_norm(diff, r), 2.0)
+        out[k] = lp_norm(gen.space, fiber_norm(diff, r), 2.0)
     if not np.all(np.isfinite(out)):
         raise ValueError("decomposition residual is not finite")
     return out
@@ -527,16 +527,13 @@ def pointwise_convergence_profile(gen, field: BochnerField, psi: float,
         raise ValueError("radii must be positive")
     if np.any(np.diff(radii) >= 0.0):
         raise ValueError("radii must be strictly decreasing")
-    if not isinstance(field, BochnerField):
-        raise ValueError("the convergence profile takes one Bochner field")
-    if field.n != gen.n:
-        raise ValueError(f"field has {field.n} points, generator has {gen.n}")
+    values, r = field_parts(gen.space, field)
     angles = sector_angles(psi, n_angles)
     nodes = np.asarray([rho * complex(math.cos(angle), math.sin(angle))
                         for rho in radii for angle in angles])
     dec = gen.decomposition
-    flowed = apply_multiplier(dec, np.exp(np.multiply.outer(-nodes, dec.eigenvalues)), field.values)
-    deviation = fiber_norm(flowed - field.values, field.norm.r)
+    flowed = apply_multiplier(dec, np.exp(np.multiply.outer(-nodes, dec.eigenvalues)), values)
+    deviation = fiber_norm(flowed - values, r)
     per_radius = deviation.reshape(radii.size, -1).max(axis=1)
     errors = np.maximum.accumulate(per_radius[::-1])[::-1]
     window = radii <= radii[-1] * 10.0 * (1.0 + 1e-12)

@@ -320,7 +320,7 @@ def semigroup_matrix(gen, z) -> np.ndarray:
 
 
 def evolve(gen, z, f):
-    """Apply exp(-z L) to a scalar field, or columnwise to a Bochner field; needs Re z >= 0."""
+    """Apply exp(-z L) columnwise to a Bochner field; needs Re z >= 0."""
     z = complex(z)
     if z.real < 0.0:
         raise ValueError(f"evolution requires Re z >= 0, got z = {z}")
@@ -340,7 +340,7 @@ def _imaginary_power_values(lam: np.ndarray, u) -> np.ndarray:
 
 
 def imaginary_power(gen, u: float, f):
-    """Apply L^(iu) to a scalar or Bochner field; an isometry of weighted L^2."""
+    """Apply L^(iu) to a Bochner field; an isometry of weighted L^2."""
     gvals = _imaginary_power_values(gen.decomposition.eigenvalues, float(u))
     return apply_to_field(gen.decomposition, gvals, f)
 

@@ -6,12 +6,13 @@ symmetric matrix, which LAPACK's ``eigh`` diagonalises; pulling the
 eigenvectors back gives a mu-orthonormal eigenbasis, whose defect
 orthonormality_defect reports.  Every function of the operator acting on
 a field goes through one kernel, apply_multiplier, and every maximal
-function through its pointwise sup, family_sup.  Both take a batch
-(n, T, d) of T fields as well as one field, and share the kernel's two
-halves: the coefficients V^T D F, which family_sup computes once per
-family, and the product with V, which it makes for blocks of at most
-FAMILY_BLOCK_ELEMENTS (512) rows x columns, reducing each block to fiber
-norms from the squared moduli and taking one root per point after the sup.
+function through its pointwise sup, family_sup.  Both take the (n, d)
+values of one field, d = 1 for a scalar one, or a batch (n, T, d) of T
+fields, and share the kernel's two halves: the coefficients V^T D F,
+which family_sup computes once per family, and the product with V,
+which it makes for blocks of at most FAMILY_BLOCK_ELEMENTS (512) rows x
+columns, reducing each block to fiber norms from the squared moduli and
+taking one root per point after the sup.
 
 The module also carries a Lanczos evaluation of the complex Gamma
 function (needed by the multiplier transforms downstream) and exact
@@ -32,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ABS_TOL,
-    BochnerField,
-    WeightedSpace,
-    field_parts,
-)
+from .core import ABS_TOL, WeightedSpace, field_parts
 
 __all__ = [
     "MuSymmetricOperator",
@@ -205,9 +201,9 @@ def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
     """Apply spectral multipliers to a field: ``V (g * V^T D F)`` with ``D = diag(mu)``.
 
     ``gvals`` holds one value per eigenvalue, as one row (n,) or a family
-    of rows (K, n); ``values`` is a scalar field (n,) or an array (n, ...)
-    of any trailing shape, such as (n, d) columns or a batch (n, T, d),
-    which is applied as one set of columns.  The result has shape
+    of rows (K, n); ``values`` is an array (n, ...) of any trailing shape,
+    such as a vector (n,), the (n, d) columns of a field or a batch
+    (n, T, d), which is applied as one set of columns.  The result has shape
     ``gvals.shape[:-1] + values.shape``, one field per row.
 
     The work has two halves, which family_sup shares: the coefficients
@@ -223,20 +219,19 @@ def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
 
 
 def apply_to_field(dec: SpectralDecomposition, gvals, f):
-    """apply_multiplier with one row on a scalar or Bochner field; returns the same kind."""
+    """apply_multiplier with one row on a Bochner field; returns a field of the same descriptor."""
     values, _ = field_parts(dec.space, f)
-    out = apply_multiplier(dec, gvals, values)
-    return f.replace_values(out) if isinstance(f, BochnerField) else out
+    return f.replace_values(apply_multiplier(dec, gvals, values))
 
 
 def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     """Pointwise sup over the rows g of a family of the fiber norms of g(L) F.
 
-    ``gvals`` is (K, n) with K >= 1, or one row (n,); ``values`` is a scalar
-    field (n,), whose fiber norm is the modulus (``r`` is unused), or
+    ``gvals`` is (K, n) with K >= 1, or one row (n,); ``values`` is
     (n, ..., d) with the l^r fiber norm over the last axis, for instance
-    (n, d) columns or a batch (n, T, d) of T fields; the result has shape
-    ``values.shape[:-1]``.
+    the (n, d) columns of one field or a batch (n, T, d) of T fields; the
+    result has shape ``values.shape[:-1]``.  A 1-d ``values`` is refused:
+    it has no fiber axis, and read as one point it would sum the points.
 
     One pass per family: the coefficients ``V^T D F`` are computed once,
     then the rows are applied in blocks of at most FAMILY_BLOCK_ELEMENTS
@@ -244,9 +239,9 @@ def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     block by apply_multiplier's own product, so every value of g(L) F is
     bit for bit apply_multiplier's.  Each block is reduced at once from the
     squared modulus ``s = re^2 + im^2``: ``sum_d s`` for r = 2, ``max_d s``
-    for r = inf and a scalar field, ``sum_d s^(r/2)`` otherwise; the block
-    max over rows is kept, and one root per point, ``sqrt`` or ``**(1/r)``,
-    is taken after the sup.  The product stays a complex matrix product
+    for r = inf, ``sum_d s^(r/2)`` otherwise; the block max over rows is
+    kept, and one root per point, ``sqrt`` or ``**(1/r)``, is taken after
+    the sup.  The product stays a complex matrix product
     (zgemm): a real one on the float view of a block is faster, but rounds
     differently with the block's column count, so a field would not come
     out bit for bit as it does alone in a batch.
@@ -255,27 +250,26 @@ def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     about 1.5e-154 and 1.3e154: the squared modulus overflows above and
     loses digits to underflow below.  The norm it replaces, the modulus of
     each entry raised to the power r, overflowed no later for r >= 2, but
-    later for r < 2, r = inf and scalar fields.
+    later for r < 2 and r = inf.
     """
     gvals, values = _checked(dec, np.atleast_2d(gvals), values)
     if gvals.shape[0] == 0:
         raise ValueError("a family needs at least one row")
+    if values.ndim < 2:
+        raise ValueError(f"field values need a fiber axis, (n, ..., d), got shape {values.shape}")
     coeff = _coefficients(dec, values)
-    scalar = values.ndim == 1
-    r = math.inf if scalar else float(r)
     rows = max(1, FAMILY_BLOCK_ELEMENTS // max(1, values[0].size))
-    best = np.zeros(values.shape if scalar else values.shape[:-1])
+    best = np.zeros(values.shape[:-1])
     for start in range(0, gvals.shape[0], rows):
         block = _product(dec, gvals[start:start + rows], coeff)
         s = np.square(block.real)
         if np.iscomplexobj(block):
             s += np.square(block.imag)
         s = s.reshape((-1,) + values.shape)
-        if not scalar:
-            if math.isinf(r):
-                s = s.max(axis=-1)
-            else:
-                s = (s if r == 2.0 else s ** (r / 2.0)).sum(axis=-1)
+        if math.isinf(r):
+            s = s.max(axis=-1)
+        else:
+            s = (s if r == 2.0 else s ** (r / 2.0)).sum(axis=-1)
         best = np.maximum(best, s.max(axis=0))
     return np.sqrt(best) if r in (2.0, math.inf) else best ** (1.0 / r)
 

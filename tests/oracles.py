@@ -1,22 +1,29 @@
 """Reference constructions that only the tests use.
 
-Most are a second route to a quantity that `maxlab` computes another way:
-the modulus generator to the dyadic modulus semigroup, the product of
-increment moduli to its repeated squaring, the dense L^(iu) matrix to
-the spectral calculus on fields, and the three terms of the sector
-decomposition applied one at a time to its batched residuals.  The grid
-refinements check that grid suprema never decrease as nodes are added.
+``scalar_field`` builds the tests' scalar fields, the Bochner fields of
+fiber dimension d = 1.  Most of the rest are a second route to a
+quantity that `maxlab` computes another way: the modulus generator to
+the dyadic modulus semigroup, the product of increment moduli to its
+repeated squaring, the dense L^(iu) matrix to the spectral calculus on
+fields, and the three terms of the sector decomposition applied one at
+a time to its batched residuals.  The grid refinements check that grid
+suprema never decrease as nodes are added.
 """
 
 import math
 
 import numpy as np
 
-from maxlab.core import BochnerField, bochner_norm
+from maxlab.core import BanachNormDescriptor, BochnerField, bochner_norm
 from maxlab.ergodic import ergodic_average
 from maxlab.mellin import apply_m_theta
 from maxlab.semigroup import DiffusionGenerator, SectorGrid, evolve, semigroup_matrix
 from maxlab.spectral import MuSymmetricOperator, spectral_matrix
+
+
+def scalar_field(values) -> BochnerField:
+    """The scalar field ``values`` (n,) as a Bochner field of fiber dimension d = 1 (l^2)."""
+    return BochnerField(np.asarray(values)[:, None], BanachNormDescriptor(1, 2.0))
 
 
 def modulus_generator(gen) -> DiffusionGenerator:
@@ -82,16 +89,12 @@ def decomposition_residual_by_parts(gen, z, field) -> float:
 
     Each term is its own multiplier call (evolve, ergodic_average,
     apply_m_theta), as decomposition_residual computed it before the
-    residuals of a generator were batched.  ``field`` is one scalar or
-    Bochner field.
+    residuals of a generator were batched.  ``field`` is one Bochner field.
     """
     z = complex(z)
     t = abs(z)
     theta = math.atan2(z.imag, z.real)
     parts = [evolve(gen, z, field), ergodic_average(gen, t, field),
              apply_m_theta(gen, theta, t, field)]
-    if isinstance(field, BochnerField):
-        lhs, avg, mpart = (part.values for part in parts)
-        return bochner_norm(gen.space, field.replace_values(lhs - avg - mpart), 2.0)
-    lhs, avg, mpart = parts
-    return bochner_norm(gen.space, lhs - avg - mpart, 2.0)
+    lhs, avg, mpart = (part.values for part in parts)
+    return bochner_norm(gen.space, field.replace_values(lhs - avg - mpart), 2.0)

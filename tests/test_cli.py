@@ -417,6 +417,54 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "new" / "dir").is_dir()
 
 
+def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # the prefix's directory exists, but the manifest path is a directory
+    (tmp_path / "plan.manifest.json").mkdir()
+    assert main(["bip-plan", "--out", str(tmp_path / "plan")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "bip-plan: PASS" not in captured.out
+
+
+def test_a_crashing_command_exits_3_and_records_the_error(tmp_path, capsys, monkeypatch):
+    import maxlab.cli as cli
+
+    def crash(config):
+        raise RuntimeError("injected failure")
+
+    _, defaults, reads = cli._COMMANDS["bip-plan"]
+    monkeypatch.setitem(cli._COMMANDS, "bip-plan", (crash, defaults, reads))
+    assert main(["bip-plan", "--out", str(tmp_path / "plan")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: bip-plan crashed: RuntimeError: injected failure\n"
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    manifest = json.loads((tmp_path / "plan.manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["error"] == {"type": "RuntimeError", "message": "injected failure"}
+    assert manifest["tables"] == []
+    # where the manifest cannot be written either, the crash still exits 3 with one line
+    (tmp_path / "again.manifest.json").mkdir()
+    assert main(["bip-plan", "--out", str(tmp_path / "again")]) == 3
+    assert capsys.readouterr().err == "error: bip-plan crashed: RuntimeError: injected failure\n"
+
+
+def test_hds_fails_when_the_fiber_norms_overflow(tmp_path, capsys):
+    # the l^1000 fiber norms of the d = 4 trials overflow, so their ratios are
+    # NaN and their rows fail; Python's max drops NaN, so a verdict on the worst
+    # ratio passed
+    prefix = tmp_path / "big_r"
+    with np.errstate(over="ignore"):
+        assert main(["hds", "--r", "1000", "--out", str(prefix)]) == 1
+    assert "hds: FAIL" in capsys.readouterr().out
+    rows = [row.split(",") for row in (tmp_path / "big_r.hds.csv").read_text().splitlines()[1:]]
+    failing = [row for row in rows if row[5] == "false"]
+    assert len(failing) == 288 and all(row[3] == "nan" for row in failing)
+    manifest = json.loads((tmp_path / "big_r.manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert all(math.isnan(manifest["details"][f"max_ratio_p_{p}"]) for p in ("1.5", "2", "3"))
+
+
 def test_full_suite_rejects_keys_it_would_ignore(tmp_path, capsys):
     assert main(["full-suite", "--trials", "1", "--n", "3"]) == 2
     err = capsys.readouterr().err

@@ -138,9 +138,13 @@ def test_field_parts_stacks_a_batch_of_fields():
     assert values.shape == (3, 4, 2) and r == 3.0
     for j, f in enumerate(fields):
         assert np.array_equal(values[:, j], f.values)
-    # a list of numbers is still one scalar field
-    values, r = field_parts(sp, [1.0, 2.0, 3.0], batch=True)
-    assert values.shape == (3,) and r is None
+    # a scalar field is the field of d = 1; a list of numbers or a bare array is refused
+    values, r = field_parts(sp, BochnerField(np.array([[1.0], [2.0], [3.0]]),
+                                             BanachNormDescriptor(1, 2.0)), batch=True)
+    assert values.shape == (3, 1) and r == 2.0
+    for bare in ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError):
+            field_parts(sp, bare, batch=True)
 
 
 def test_field_parts_rejects_bad_batches():

@@ -16,58 +16,59 @@ from maxlab.ergodic import (
     hds_experiment,
     maximal_ergodic,
 )
-from oracles import modulus_generator, time_grid
+from oracles import modulus_generator, scalar_field, time_grid
 
 
 def test_ergodic_average_against_midpoint_riemann_sum():
     rng = np.random.default_rng(70)
     for trial in range(3):
         gen = random_generator(4, 7100 + trial, kind="contraction")
-        f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        f = scalar_field(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         t = float(rng.uniform(0.5, 1.5))
         panels = 4096
         mids = (np.arange(panels) + 0.5) * (t / panels)
-        quad = sum(evolve(gen, s, f) for s in mids) * (t / panels) / t
-        np.testing.assert_allclose(ergodic_average(gen, t, f), quad, atol=2e-6)
+        quad = sum(evolve(gen, s, f).values for s in mids) * (t / panels) / t
+        np.testing.assert_allclose(ergodic_average(gen, t, f).values, quad, atol=2e-6)
 
 
 def test_ergodic_average_spot_values_on_eigenvectors():
     sp = WeightedSpace(np.ones(2))
     gen = DiffusionGenerator(MuSymmetricOperator(sp, np.diag([1.3, 0.5])))
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
+    e1 = scalar_field([1.0, 0.0])
+    e2 = scalar_field([0.0, 1.0])
     # (1 - exp(-t lambda)) / (t lambda) at the two eigenvalues
-    assert ergodic_average(gen, 0.7, e1)[0] == pytest.approx(0.65656678677622422597,
-                                                             abs=1e-15)
-    assert ergodic_average(gen, 2.0, e2)[1] == pytest.approx(0.6321205588285576784,
-                                                             abs=1e-15)
+    assert ergodic_average(gen, 0.7, e1).values[0, 0] == pytest.approx(0.65656678677622422597,
+                                                                       abs=1e-15)
+    assert ergodic_average(gen, 2.0, e2).values[1, 0] == pytest.approx(0.6321205588285576784,
+                                                                       abs=1e-15)
 
 
 def test_ergodic_average_short_time_limit():
     gen = random_generator(5, 72, kind="diffusion")
-    f = np.random.default_rng(2).standard_normal(5)
-    np.testing.assert_allclose(ergodic_average(gen, 1e-9, f), f, atol=1e-6)
+    f = scalar_field(np.random.default_rng(2).standard_normal(5))
+    np.testing.assert_allclose(ergodic_average(gen, 1e-9, f).values, f.values, atol=1e-6)
 
 
 def test_kernel_directions_are_fixed():
     sp = WeightedSpace(np.ones(2))
     gen = DiffusionGenerator(
         MuSymmetricOperator(sp, np.array([[1.0, -1.0], [-1.0, 1.0]])))
-    c = np.array([0.8, 0.8])
+    c = scalar_field([0.8, 0.8])
     for t in (1e-3, 1.0, 1e3):
-        np.testing.assert_allclose(ergodic_average(gen, t, c), c, atol=1e-12)
-    np.testing.assert_allclose(maximal_ergodic(gen, c), c, atol=1e-12)
+        np.testing.assert_allclose(ergodic_average(gen, t, c).values, c.values, atol=1e-12)
+    np.testing.assert_allclose(maximal_ergodic(gen, c), c.values[:, 0], atol=1e-12)
 
 
 def test_time_validation():
     gen = random_generator(3, 73, kind="diffusion")
+    f = scalar_field(np.ones(3))
     for bad in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):
-            ergodic_average(gen, bad, np.ones(3))
+            ergodic_average(gen, bad, f)
     with pytest.raises(ValueError):
-        maximal_ergodic(gen, np.ones(3), t_grid=np.array([]))
+        maximal_ergodic(gen, f, t_grid=np.array([]))
     with pytest.raises(ValueError):
-        maximal_ergodic(gen, np.ones(3), t_grid=np.array([0.0, 1.0]))
+        maximal_ergodic(gen, f, t_grid=np.array([0.0, 1.0]))
 
 
 def test_tensor_average_factorises_over_simple_tensors():
@@ -78,7 +79,7 @@ def test_tensor_average_factorises_over_simple_tensors():
     field = BochnerField(f[:, None] * u[None, :], BanachNormDescriptor(3, 2.0))
     out = ergodic_average(gen, 0.8, field)
     assert out.norm == field.norm
-    want = ergodic_average(gen, 0.8, f)[:, None] * u[None, :]
+    want = ergodic_average(gen, 0.8, scalar_field(f)).values * u[None, :]
     np.testing.assert_allclose(out.values, want, atol=1e-12)
     with pytest.raises(ValueError):
         ergodic_average(random_generator(4, 75), 0.8, field)
@@ -91,7 +92,7 @@ def test_default_time_grid_refinement():
     # refinement keeps every node, so grid suprema cannot decrease
     np.testing.assert_allclose(fine[::2], coarse, rtol=1e-12)
     gen = random_generator(4, 76, kind="diffusion")
-    f = np.random.default_rng(4).standard_normal(4)
+    f = scalar_field(np.random.default_rng(4).standard_normal(4))
     m_coarse = maximal_ergodic(gen, f, coarse)
     m_fine = maximal_ergodic(gen, f, fine)
     assert np.all(m_fine >= m_coarse - 1e-12)
@@ -160,7 +161,8 @@ def test_hds_experiment_identity_ensemble_saturates_at_one():
 def test_hds_experiment_adversarial_search_stays_bounded():
     # a gradient-free hill climb from the experiment's first scalar draws
     # finds no field whose maximal ratio exceeds the bound
-    def ratio(gen, f):
+    def ratio(gen, values):
+        f = scalar_field(values)
         return lp_norm(gen.space, maximal_ergodic(gen, f), 2.0) / bochner_norm(gen.space, f, 2.0)
 
     for member_seed, gen in build_ensemble(EnsembleSpec(n=4, count=2, kind="contraction"), 7):
@@ -176,6 +178,18 @@ def test_hds_experiment_adversarial_search_stays_bounded():
             elif step % 10 == 9:
                 scale *= 0.5
         assert best <= hds_bound(2.0) + 1e-9
+
+
+def test_hds_report_fails_on_a_nan_ratio():
+    # the l^1000 fiber norms overflow to a NaN ratio, which max() would drop
+    with np.errstate(over="ignore"):
+        result = hds_experiment(EnsembleSpec(n=4, count=2), [2.0], trials=1, seed=5,
+                                descriptor=BanachNormDescriptor(4, 1000.0))
+    (report,) = result.reports
+    assert any(math.isnan(ratio) for ratio in report.ratios)
+    assert max(report.ratios) <= report.bound
+    assert not report.passed and not result.passed
+    assert [row[5] for row in result.rows] == [not math.isnan(ratio) for ratio in report.ratios]
 
 
 def test_hds_experiment_rejects_sup_fiber():
@@ -199,7 +213,7 @@ def _reference_hds_rows(spec, p_list, trials, seed, descriptor):
         for member_seed, gen in build_ensemble(spec, seed):
             rng = np.random.default_rng(member_seed + 7)
             for _ in range(trials):
-                f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
+                f = scalar_field(rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n))
                 values = rng.standard_normal((gen.n, descriptor.d)) + 1j * rng.standard_normal(
                     (gen.n, descriptor.d))
                 for field in (f, BochnerField(values, descriptor)):

@@ -1,6 +1,8 @@
 """The runtime imports only the standard library, numpy and maxlab itself,
-every name a module exports is defined, and only spectral.py reaches the
-two halves of the multiplier kernel, whose one entry is apply_multiplier."""
+every name a module exports is defined, only spectral.py reaches the two
+halves of the multiplier kernel, whose one entry is apply_multiplier, and
+only core.py asks whether a value is a BochnerField, so that fields are
+validated in one place, field_parts."""
 
 import ast
 import importlib
@@ -81,3 +83,32 @@ def test_check_flags_a_kernel_half_import():
     tree = ast.parse("from .spectral import _product, apply_multiplier\n"
                      "from . import spectral\ncoeff = spectral._coefficients\n")
     assert _kernel_halves_used(tree) == ["_coefficients", "_product"]
+
+
+def _bochner_isinstance_calls(tree):
+    """Lines of the isinstance calls whose class argument names BochnerField."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                     for sub in ast.walk(node.args[1])}
+            if "BochnerField" in names:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "core.py"],
+                         ids=lambda path: path.name)
+def test_only_core_asks_for_a_bochner_field(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _bochner_isinstance_calls(tree)
+    assert not lines, f"{path.name} tests isinstance(..., BochnerField) on lines {lines}; " \
+                      "validate fields through core.field_parts"
+
+
+def test_check_flags_an_isinstance_on_bochner_field():
+    tree = ast.parse("isinstance(f, BochnerField)\nisinstance(f, core.BochnerField)\n"
+                     "isinstance(f, (list, BochnerField))\nisinstance(f, list)\n"
+                     "BochnerField(values, norm)\n")
+    assert _bochner_isinstance_calls(tree) == [1, 2, 3]

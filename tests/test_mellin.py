@@ -49,7 +49,12 @@ from maxlab.mellin import (
     sector_maximal,
     truncation_bound,
 )
-from oracles import decomposition_residual_by_parts, imaginary_power_matrix, refine_sector_grid
+from oracles import (
+    decomposition_residual_by_parts,
+    imaginary_power_matrix,
+    refine_sector_grid,
+    scalar_field,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -288,7 +293,8 @@ def test_decomposition_residuals_match_the_per_term_oracle():
                 zs.append(z)
                 fields.append(BochnerField(values, BanachNormDescriptor(d, 2.0 if d == 1 else 3.0)))
             zs.append(z)
-            fields.append(rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n))
+            fields.append(
+                scalar_field(rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)))
         got = decomposition_residuals(gen, zs, fields)
         assert got.shape == (len(zs),)
         want = [decomposition_residual_by_parts(gen, z, f) for z, f in zip(zs, fields)]
@@ -559,16 +565,22 @@ def test_maximal_functions_reject_bad_batches():
         for bad in ([], [field, other_r], [field, other_n], [field, rng.standard_normal(4)]):
             with pytest.raises(ValueError):
                 maximal(gen, bad, nodes(grid))
+        # nor is a bare (n,) array a field
+        with pytest.raises(ValueError, match="a BochnerField"):
+            maximal(gen, np.ones(4, dtype=complex), nodes(grid))
 
 
-def test_other_field_functions_reject_a_list_of_fields():
+@pytest.mark.parametrize("kind, message", [("list", "takes one"), ("bare", "a BochnerField")])
+def test_other_field_functions_reject_a_list_of_fields_and_a_bare_array(kind, message):
+    # a field is a BochnerField: neither a list of them nor a bare (n,) array,
+    # the scalar field of d = 1 written without its fiber axis
     from maxlab.ergodic import ergodic_average
     from maxlab.semigroup import imaginary_power
     from maxlab.spectral import apply_to_field
 
     gen = random_generator(4, 2500)
     field = BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))
-    fields = [field, field]
+    fields = [field, field] if kind == "list" else np.ones(4, dtype=complex)
     calls = (
         lambda: evolve(gen, 0.5 + 0.1j, fields),
         lambda: imaginary_power(gen, 0.5, fields),
@@ -580,7 +592,7 @@ def test_other_field_functions_reject_a_list_of_fields():
         lambda: bochner_norm(gen.space, fields, 2.0),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="takes one"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from maxlab.core import ABS_TOL, BanachNormDescriptor, BochnerField, WeightedSpace, lp_norm
+from maxlab.core import ABS_TOL, BanachNormDescriptor, BochnerField, WeightedSpace, bochner_norm
 from maxlab.spectral import (
     MuSymmetricOperator,
     apply_multiplier,
@@ -36,7 +36,7 @@ from maxlab.semigroup import (
     semigroup_matrix,
     stein_angle,
 )
-from oracles import imaginary_power_matrix, modulus_generator, refine_sector_grid
+from oracles import imaginary_power_matrix, modulus_generator, refine_sector_grid, scalar_field
 
 # The sampled contraction check, kept as the oracle of the exact dominance
 # check made at construction: ||exp(-t L)|| <= 1 + ABS_TOL at p = 1 and
@@ -396,8 +396,8 @@ def test_exemplar_closed_form():
 def test_evolve_matches_matrix_action():
     gen = random_generator(6, 77, kind="diffusion")
     rng = np.random.default_rng(0)
-    f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    np.testing.assert_allclose(evolve(gen, 0.9, f), semigroup_matrix(gen, 0.9) @ f,
+    f = scalar_field(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    np.testing.assert_allclose(evolve(gen, 0.9, f).values, semigroup_matrix(gen, 0.9) @ f.values,
                                atol=1e-12)
 
 
@@ -409,7 +409,8 @@ def test_tensor_evolve_is_columnwise():
     out = evolve(gen, 0.4 + 0.2j, field)
     assert out.norm == field.norm
     for j in range(3):
-        np.testing.assert_allclose(out.values[:, j], evolve(gen, 0.4 + 0.2j, values[:, j]),
+        np.testing.assert_allclose(out.values[:, j],
+                                   evolve(gen, 0.4 + 0.2j, scalar_field(values[:, j])).values[:, 0],
                                    atol=1e-12)
 
 
@@ -573,10 +574,10 @@ def test_imaginary_power_is_l2_isometry():
     rng = np.random.default_rng(55)
     for trial in range(10):
         gen = random_generator(7, 6000 + trial, kind="diffusion")
-        f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        base = lp_norm(gen.space, f, 2.0)
+        f = scalar_field(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        base = bochner_norm(gen.space, f, 2.0)
         for u in (-4.0, -0.5, 0.0, 1.0, 3.3):
-            assert abs(lp_norm(gen.space, imaginary_power(gen, u, f), 2.0) - base) \
+            assert abs(bochner_norm(gen.space, imaginary_power(gen, u, f), 2.0) - base) \
                 <= 1e-10 * base
 
 
@@ -600,7 +601,8 @@ def test_imaginary_power_rows_apply_as_one_family():
         images = apply_multiplier(gen.decomposition, powers, f)
         columns = apply_multiplier(gen.decomposition, powers, field.values)
         for u, image, column in zip(u_grid, images, columns):
-            assert image.tobytes() == imaginary_power(gen, float(u), f).tobytes()
+            assert image.tobytes() == \
+                imaginary_power(gen, float(u), scalar_field(f)).values[:, 0].tobytes()
             assert column.tobytes() == imaginary_power(gen, float(u), field).values.tobytes()
     assert not kernel.injective
 
@@ -619,8 +621,8 @@ def test_imaginary_power_kernel_convention():
     # the zero generator is fixed pointwise for every u
     sp = WeightedSpace(np.array([1.0, 2.0]))
     gen = DiffusionGenerator(MuSymmetricOperator(sp, np.zeros((2, 2))))
-    f = np.array([1.0 + 2.0j, -0.5])
-    np.testing.assert_allclose(imaginary_power(gen, 1.7, f), f, atol=1e-14)
+    f = scalar_field([1.0 + 2.0j, -0.5])
+    np.testing.assert_allclose(imaginary_power(gen, 1.7, f).values, f.values, atol=1e-14)
 
 
 def test_p2_operator_norm_of_imaginary_power_is_one():

@@ -339,15 +339,12 @@ def test_columnwise_application_matches_scalar():
 
 def _reference_family_sup(dec, gvals, values, r):
     """The per-node loop the kernel replaced: one Bochner field per row."""
-    scalar = values.ndim == 1
-    cols = values[:, None] if scalar else values
-    field = BochnerField(cols, BanachNormDescriptor(cols.shape[1], 2.0 if scalar else r))
+    field = BochnerField(values, BanachNormDescriptor(values.shape[1], r))
     coeff = dec.eigenvectors.T @ (dec.space.mu[:, None] * field.values)
     best = np.zeros(dec.n)
     for g in gvals:
         out = dec.eigenvectors @ (g[:, None] * coeff)
-        norm = np.abs(out[:, 0]) if scalar else fiber_norm(field.replace_values(out).values, field.norm.r)
-        best = np.maximum(best, norm)
+        best = np.maximum(best, fiber_norm(field.replace_values(out).values, field.norm.r))
     return best
 
 
@@ -377,9 +374,10 @@ def test_family_sup_matches_per_node_loop(n):
                 # the kernel squares moduli, so check it far from 1 as well,
                 # on one block and across a block boundary
                 for scale in (1.0, 1e-60, 1e60) if count in (1, block + 1) else (1.0,):
+                    # the scalar field, d = 1 with the l^2 fiber norm, the modulus
                     scalar = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                    want = _reference_family_sup(dec, gvals, scalar, None)
-                    np.testing.assert_allclose(family_sup(dec, gvals, scalar, None), want,
+                    want = _reference_family_sup(dec, gvals, scalar[:, None], 2.0)
+                    np.testing.assert_allclose(family_sup(dec, gvals, scalar[:, None], 2.0), want,
                                                rtol=1e-14, atol=0.0)
                     for d in (1, 4, 16):
                         values = scale * (rng.standard_normal((n, d))
@@ -395,20 +393,30 @@ def test_family_sup_rejects_nonfinite_rows():
     gvals = np.ones((FAMILY_BLOCK_ELEMENTS + 5, 4), dtype=complex)
     gvals[FAMILY_BLOCK_ELEMENTS + 2, 1] = np.nan
     with pytest.raises(ValueError):
-        family_sup(gen.decomposition, gvals, np.ones(4), None)
+        family_sup(gen.decomposition, gvals, np.ones((4, 1)), 2.0)
     gvals[FAMILY_BLOCK_ELEMENTS + 2, 1] = np.inf
     with pytest.raises(ValueError):
         family_sup(gen.decomposition, gvals, np.ones((4, 2)), 2.0)
     # one row is a family of one
-    f = np.arange(4.0) + 1j
-    np.testing.assert_array_equal(family_sup(gen.decomposition, np.full(4, 0.5), f, None),
-                                  np.abs(apply_multiplier(gen.decomposition, np.full(4, 0.5), f)))
+    f = (np.arange(4.0) + 1j)[:, None]
+    image = apply_multiplier(gen.decomposition, np.full(4, 0.5), f)
+    np.testing.assert_array_equal(family_sup(gen.decomposition, np.full(4, 0.5), f, 2.0),
+                                  np.abs(image[:, 0]))
+
+
+def test_family_sup_refuses_values_without_a_fiber_axis():
+    # read as one point with an n-dimensional fiber, a 1-d array would make
+    # the sup sum over the points, so it is refused, not reduced
+    gen = random_generator(4, 1410)
+    for r in (2.0, 3.0, math.inf):
+        with pytest.raises(ValueError, match="fiber axis"):
+            family_sup(gen.decomposition, np.ones((3, 4)), np.arange(4.0) + 1j, r)
 
 
 def test_family_sup_rejects_an_empty_family():
     # a sup over no rows is not 0, so an empty family is refused, not reduced
     gen = random_generator(4, 1420)
-    for values, r in ((np.arange(4.0) + 1j, None), (np.ones((4, 2), dtype=complex), 2.0)):
+    for values, r in (((np.arange(4.0) + 1j)[:, None], 2.0), (np.ones((4, 2), dtype=complex), 2.0)):
         with pytest.raises(ValueError, match="at least one row"):
             family_sup(gen.decomposition, np.empty((0, 4)), values, r)
 
@@ -429,7 +437,7 @@ def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
     monkeypatch.setattr(spectral, "_product", recording)
     rng = np.random.default_rng(1451)
     # columns per point -> rows per block: 512 // columns, at least 1
-    for shape, rows in (((6,), 216), ((6, 16), 32), ((6, 4, 16), 8), ((6, 4, 1), 128),
+    for shape, rows in (((6, 1), 216), ((6, 16), 32), ((6, 4, 16), 8), ((6, 4, 1), 128),
                         ((6, 600), 1)):
         sizes.clear()
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
