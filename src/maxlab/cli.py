@@ -48,7 +48,7 @@ from .mellin import (
     imaginary_power_estimate,
     maximal_theorem_experiment,
     mellin_reconstruct,
-    m_theta,
+    _m_theta_values,
     n_hat_table,
     pointwise_convergence_profile,
     truncation_bound,
@@ -275,19 +275,35 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Deterministic CSV serialisation.
 
+def _bool_text(value) -> str:
+    return "true" if value else "false"
+
+
+def _float_text(value) -> str:
+    return "%.17g" % value
+
+
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return _bool_text(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
+        return _float_text(float(value))
     return str(value)
+
+
+# _format_cell's formatter for each exact type a table holds, so the common
+# cells skip its isinstance chain; any other type falls back to it.
+_CELL_FORMATTERS = {bool: _bool_text, np.bool_: _bool_text, int: str,
+                    np.int64: str, float: _float_text,
+                    np.float64: _float_text, str: str}
 
 
 def _table_text(header: tuple, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(_CELL_FORMATTERS.get(type(cell), _format_cell)(cell) for cell in row)
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -561,9 +577,12 @@ def _reconstruction_rows(U: float, h: float, psi: float = math.pi / 4.0) -> list
     thetas = [t for t in (0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0, -math.pi / 4.0)
               if abs(t) <= psi + 1e-15]
     lams = np.geomspace(1e-2, 1e2, 25)
-    return [(theta, float(lam), abs(complex(rec) - m_theta(theta, float(lam))))
-            for theta in thetas
-            for lam, rec in zip(lams, mellin_reconstruct(theta, lams, U=U, h=h))]
+    recs = mellin_reconstruct(np.array(thetas), lams, U=U, h=h)
+    direct = _m_theta_values(np.array(thetas)[:, None], lams)
+    # Python's abs of a complex: numpy's rounds differently
+    return [(theta, float(lam), abs(complex(rec) - complex(value)))
+            for theta, rec_row, direct_row in zip(thetas, recs, direct)
+            for lam, rec, value in zip(lams, rec_row, direct_row)]
 
 
 def criterion_mellin(seed: int = DEFAULT_SEED) -> CriterionResult:

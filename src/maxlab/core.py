@@ -21,6 +21,7 @@ __all__ = [
     "BochnerField",
     "random_field",
     "lp_norm",
+    "lp_norms",
     "field_parts",
     "bochner_norm",
     "fiber_norm",
@@ -121,10 +122,19 @@ class BochnerField:
         return BochnerField(np.asarray(values, dtype=complex), self.norm)
 
 
+def _gaussian_batch(rng, count: int, shape: tuple) -> np.ndarray:
+    """``count`` seeded complex Gaussian arrays of ``shape``, stacked as (count, *shape).
+
+    Each array's real parts are drawn first, then its imaginary parts, so
+    the stack is the same stream as ``count`` draws of one array in turn.
+    """
+    draws = rng.standard_normal((count, 2) + tuple(shape))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
 def random_field(rng, n: int, descriptor: BanachNormDescriptor) -> BochnerField:
     """Seeded complex Gaussian Bochner field of n points: real parts drawn first, then imaginary."""
-    shape = (n, descriptor.d)
-    return BochnerField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), descriptor)
+    return BochnerField(_gaussian_batch(rng, 1, (n, descriptor.d))[0], descriptor)
 
 
 def lp_norm(space: WeightedSpace, f, p: float) -> float:
@@ -141,6 +151,29 @@ def lp_norm(space: WeightedSpace, f, p: float) -> float:
     if p == 1.0:
         return float(space.mu @ a)
     return float((space.mu @ a**p) ** (1.0 / p))
+
+
+def lp_norms(space: WeightedSpace, f, p: float) -> np.ndarray:
+    """lp_norm of every row of a stack ``f`` of shape (..., n), with shape ``f.shape[:-1]``.
+
+    Each value is bit for bit lp_norm's: the weighted sums are stacked
+    ``(1, n) @ (n, 1)`` products, the same dot lp_norm makes, and the root
+    is taken one entry at a time, because numpy's vectorised pow rounds
+    differently from the scalar pow.
+    """
+    f = np.asarray(f)
+    if f.ndim == 0 or f.shape[-1] != space.n:
+        raise ValueError(f"fields have shape {f.shape}, expected (..., {space.n})")
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    a = np.abs(f)
+    if math.isinf(p):
+        return a.max(axis=-1)
+    sums = (space.mu @ (a if p == 1.0 else a**p)[..., None])[..., 0]
+    if p == 1.0:
+        return sums
+    return np.array([s ** (1.0 / p) for s in sums.ravel()]).reshape(sums.shape)
 
 
 def fiber_norm(values, r: float) -> np.ndarray:

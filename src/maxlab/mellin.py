@@ -185,25 +185,34 @@ def m_theta(theta: float, lam: float) -> complex:
     return complex(_m_theta_values(theta, np.asarray([lam]))[0])
 
 
-def _n_hat_values(theta: float, u: np.ndarray) -> np.ndarray:
-    """Vectorised n_hat_theta.
+def _n_hat_values(theta, u: np.ndarray) -> np.ndarray:
+    """Vectorised n_hat_theta, of shape ``theta.shape + u.shape``.
 
     The closed form (e^{-theta u} - (1+iu)^{-1}) Gamma(-iu) is the Mellin
     transform of m_theta at s = -iu, which is what the reconstruction
     integral (1/2 pi) int n_hat(u) lambda^{iu} du inverts.  It is
     rewritten as -(expm1(-theta u)/(iu) + 1/(1+iu)) Gamma(1-iu), which is
     finite at u = 0 (value -(1 + i theta)) and avoids the cancellation
-    between the two terms for small u.
+    between the two terms for small u.  Gamma and 1/(1+iu) do not depend
+    on theta, so an array of angles shares one gamma_values call; each
+    angle's row is bit for bit that of a call on the angle alone.
     """
+    theta = np.asarray(theta, dtype=float)
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape, dtype=complex)
+    out = np.empty(theta.shape + u.shape, dtype=complex)
     zero = u == 0.0
-    out[zero] = -(1.0 + 1j * theta)
     unz = u[~zero]
+    iu = 1j * unz
     if unz.size:
-        iu = 1j * unz
-        bracket = np.expm1(-theta * unz) / iu + 1.0 / (1.0 + iu)
-        out[~zero] = -bracket * gamma_values(1.0 - iu)
+        gamma = gamma_values(1.0 - iu)
+        pole = 1.0 / (1.0 + iu)
+    # one angle at a time, so the temporaries stay one u row long
+    for index, angle in np.ndenumerate(theta):
+        angle = float(angle)
+        row = out[index]
+        row[zero] = -(1.0 + 1j * angle)
+        if unz.size:
+            row[~zero] = -(np.expm1(-angle * unz) / iu + pole) * gamma
     return out
 
 
@@ -218,7 +227,7 @@ def n_hat_table(thetas, us) -> tuple[np.ndarray, np.ndarray]:
     The largest ratio is the decay constant on the grid."""
     thetas = np.asarray(thetas, dtype=float)
     us = np.asarray(us, dtype=float)
-    values = np.array([_n_hat_values(theta, us) for theta in thetas])
+    values = _n_hat_values(thetas, us)
     ratios = np.abs(values) * np.exp(np.multiply.outer(math.pi / 2.0 - np.abs(thetas), np.abs(us)))
     return values, ratios
 
@@ -284,18 +293,23 @@ def m_theta_maximal(gen, field, grid: SectorGrid) -> np.ndarray:
     return family_sup(gen.decomposition, gvals, values, r)
 
 
-def mellin_reconstruct(theta: float, lam, U: float = DEFAULT_QUAD_U,
-                       h: float = DEFAULT_QUAD_H):
+def mellin_reconstruct(theta, lam, U: float = DEFAULT_QUAD_U, h: float = DEFAULT_QUAD_H):
     """Trapezoid quadrature of (1/2 pi) integral_{-U}^{U} n_hat(u) lambda^{iu} du.
 
     ``lam`` is one eigenvalue, giving a complex, or an array of them,
-    giving an array of the same shape; n_hat is sampled once per call.
+    giving an array of the same shape.  ``theta`` is one angle or a 1-d
+    array of them, which prepends its axis: the result has shape
+    ``(len(theta),) + lam.shape``.  n_hat is sampled once per call and the
+    phase row lambda^{iu} once per lambda, shared by every angle; each
+    value is bit for bit that of a call on its angle and lambda alone.
     Valid only for strictly positive lambda (the kernel is excluded from
     every Mellin representation).  The realised truncation is N h with
     N = round(U/h).
     """
-    theta = float(theta)
-    if abs(theta) >= math.pi / 2.0:
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1:
+        raise ValueError(f"theta must be one angle or a 1-d array of them, got shape {thetas.shape}")
+    if not np.all(np.abs(thetas) < math.pi / 2.0):
         raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
     lams = np.asarray(lam, dtype=float)
     if not np.all(lams > 0.0):
@@ -304,13 +318,13 @@ def mellin_reconstruct(theta: float, lam, U: float = DEFAULT_QUAD_U,
         raise ValueError("quadrature needs U > 0 and h > 0")
     n_half = max(1, int(round(U / h)))
     u = h * np.arange(-n_half, n_half + 1)
-    nhat = _n_hat_values(theta, u)
+    nhat = _n_hat_values(thetas, u)
     iu = 1j * u
-    out = np.empty(lams.shape, dtype=complex)
+    out = np.empty(thetas.shape + lams.shape, dtype=complex)
     for index, value in np.ndenumerate(lams):
         integrand = nhat * np.exp(iu * math.log(value))
-        integral = h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-        out[index] = integral / (2.0 * math.pi)
+        integral = h * (integrand.sum(axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1]))
+        out[(...,) + index] = integral / (2.0 * math.pi)
     return complex(out) if out.ndim == 0 else out
 
 

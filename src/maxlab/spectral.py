@@ -178,22 +178,27 @@ def _coefficients(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
     return dec.eigenvectors.T @ (mu * cols)
 
 
-def _product(dec: SpectralDecomposition, gvals: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+def _product(dec: SpectralDecomposition, gvals: np.ndarray, coeff: np.ndarray,
+             work=(None, None)) -> np.ndarray:
     """``V (g * coeff)`` for rows ``gvals`` (n,) or (K, n): ``gvals.shape[:-1] + (n, C)``.
 
     A complex product casts the real V to complex once per call, into the
     C-ordered copy that matmul would make for itself, so the same zgemm
     runs on the same operands and gives the same bits.  Left to matmul, the
-    cast took about a fifth of the time of an (8, 48, 64) block.
+    cast took about a fifth of the time of an (8, 48, 64) block.  ``work``
+    may hold two C-ordered arrays of shape ``gvals.shape[:-1] + coeff.shape``
+    to receive ``g * coeff`` and the product, so that a caller applying
+    many blocks reuses them.
     """
     # a stack of (n, 1) columns, (..., C, n, 1), is turned back to (..., n, C)
     stacked = coeff.ndim == 3
-    scaled = gvals[..., None, :, None] * coeff if stacked else gvals[..., None] * coeff
+    scaled = np.multiply(gvals[..., None, :, None] if stacked else gvals[..., None], coeff,
+                         out=work[0])
     v = dec.eigenvectors
     kind = np.result_type(v, scaled)
     if kind != v.dtype:
         v = np.asarray(v, dtype=kind, order="C")
-    out = v @ scaled
+    out = np.matmul(v, scaled, out=work[1])
     return out[..., 0].swapaxes(-1, -2) if stacked else out
 
 
@@ -258,18 +263,30 @@ def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     if values.ndim < 2:
         raise ValueError(f"field values need a fiber axis, (n, ..., d), got shape {values.shape}")
     coeff = _coefficients(dec, values)
-    rows = max(1, FAMILY_BLOCK_ELEMENTS // max(1, values[0].size))
+    rows = min(gvals.shape[0], max(1, FAMILY_BLOCK_ELEMENTS // max(1, values[0].size)))
+    # One allocation serves every block: g * coeff, the product, and then,
+    # in the memory of g * coeff, the squared moduli (one float plane per
+    # part of the product).  Allocated anew for each block, these temporaries
+    # made `maxlab maximal --n 48` up to a sixth slower in some heap layouts
+    # (set by the code's size and even by the checkout's path), which fixing
+    # glibc's trim and mmap thresholds also cured.
+    scaled, product = np.empty((2, rows) + coeff.shape, np.result_type(gvals, coeff))
+    planes = scaled.reshape(-1).view(float).reshape(-1, rows, dec.n, values[0].size)
     best = np.zeros(values.shape[:-1])
     for start in range(0, gvals.shape[0], rows):
-        block = _product(dec, gvals[start:start + rows], coeff)
-        s = np.square(block.real)
+        count = min(rows, gvals.shape[0] - start)
+        block = _product(dec, gvals[start:start + count], coeff,
+                         (scaled[:count], product[:count]))
+        s = np.square(block.real, out=planes[0, :count])
         if np.iscomplexobj(block):
-            s += np.square(block.imag)
+            s += np.square(block.imag, out=planes[1, :count])
         s = s.reshape((-1,) + values.shape)
         if math.isinf(r):
             s = s.max(axis=-1)
         else:
-            s = (s if r == 2.0 else s ** (r / 2.0)).sum(axis=-1)
+            if r != 2.0:
+                s **= r / 2.0
+            s = s.sum(axis=-1)
         best = np.maximum(best, s.max(axis=0))
     return np.sqrt(best) if r in (2.0, math.inf) else best ** (1.0 / r)
 

@@ -5,18 +5,34 @@ fiber dimension d = 1.  Most of the rest are a second route to a
 quantity that `maxlab` computes another way: the modulus generator to
 the dyadic modulus semigroup, the product of increment moduli to its
 repeated squaring, the dense L^(iu) matrix to the spectral calculus on
-fields, and the three terms of the sector decomposition applied one at
-a time to its batched residuals.  The grid refinements check that grid
-suprema never decrease as nodes are added.
+fields, the three terms of the sector decomposition applied one at a
+time to its batched residuals, and the per-trial and per-angle loops that
+the modulus checks and the Mellin quadrature table replaced with one
+array pass.  The grid refinements check that grid suprema never decrease
+as nodes are added.
 """
 
 import math
 
 import numpy as np
 
-from maxlab.core import BanachNormDescriptor, BochnerField, bochner_norm
+from maxlab.core import (
+    ABS_TOL,
+    BanachNormDescriptor,
+    BochnerField,
+    bochner_norm,
+    lp_norm,
+    random_field,
+)
 from maxlab.ergodic import ergodic_average
-from maxlab.mellin import apply_m_theta
+from maxlab.mellin import apply_m_theta, m_theta, mellin_reconstruct
+from maxlab.modulus import (
+    DOMINATION_T_GRID,
+    SUBPOSITIVITY_THETAS,
+    DominationReport,
+    SubpositivityReport,
+    modulus_semigroup,
+)
 from maxlab.semigroup import DiffusionGenerator, SectorGrid, evolve, semigroup_matrix
 from maxlab.spectral import MuSymmetricOperator, spectral_matrix
 
@@ -98,3 +114,98 @@ def decomposition_residual_by_parts(gen, z, field) -> float:
              apply_m_theta(gen, theta, t, field)]
     lhs, avg, mpart = (part.values for part in parts)
     return bochner_norm(gen.space, field.replace_values(lhs - avg - mpart), 2.0)
+
+
+def verify_domination_by_trial(gen, trials: int = 20, seed: int = 0) -> DominationReport:
+    """verify_domination with one field drawn, moved and measured at a time.
+
+    Each field is two draws, real then imaginary parts, T and S act by
+    ``T @ f`` and every norm is one lp_norm call.
+    """
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    worst_norm = -math.inf
+    checked = 0
+    for t in DOMINATION_T_GRID:
+        t_matrix = semigroup_matrix(gen, t)
+        s_matrix = modulus_semigroup(gen, t).S_t
+        for _ in range(trials):
+            f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
+            f /= np.abs(f).max()
+            lhs = np.abs(t_matrix @ f)
+            rhs = s_matrix @ np.abs(f)
+            worst = max(worst, float((lhs - rhs).max()))
+            for p in (1.5, 2.0, 3.0):
+                excess = lp_norm(gen.space, t_matrix @ f, p) - lp_norm(gen.space, rhs, p)
+                worst_norm = max(worst_norm, excess)
+            checked += 1
+    passed = worst <= ABS_TOL and worst_norm <= ABS_TOL
+    return DominationReport(passed=bool(passed), max_violation=float(worst),
+                            max_norm_excess=float(worst_norm), checked=checked)
+
+
+def subpositivity_suite_by_trial(space, t_matrix, s_matrix, p: float, descriptor,
+                                 trials: int = 20, seed: int = 0) -> SubpositivityReport:
+    """subpositivity_suite with one family and one tensor field at a time.
+
+    Every family member and field is moved by its own ``T @ f``, the
+    tensor field through a BochnerField, and every norm is one lp_norm or
+    bochner_norm call.  The input checks are subpositivity_suite's.
+    """
+    t_matrix = np.asarray(t_matrix)
+    s_matrix = np.asarray(s_matrix)
+    n = space.n
+    if t_matrix.shape != (n, n) or s_matrix.shape != (n, n):
+        raise ValueError(f"T and S must both have shape ({n}, {n})")
+    if not (np.all(np.isfinite(t_matrix)) and np.all(np.isfinite(s_matrix))):
+        raise ValueError("T and S must have finite entries")
+    if s_matrix.min() < -ABS_TOL:
+        raise ValueError("candidate majorant S must be entrywise nonnegative")
+    rng = np.random.default_rng(seed)
+
+    sup_margin = -math.inf
+    for _ in range(trials):
+        k = int(rng.integers(2, 6))
+        family = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        lhs = lp_norm(space, np.maximum.reduce([np.abs(t_matrix @ g) for g in family]), p)
+        rhs = lp_norm(space, np.maximum.reduce([np.abs(g) for g in family]), p)
+        sup_margin = max(sup_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
+
+    tensor_margin = -math.inf
+    for _ in range(trials):
+        field = random_field(rng, n, descriptor)
+        lhs = bochner_norm(space, field.replace_values(t_matrix @ field.values), p)
+        rhs = bochner_norm(space, field, p)
+        tensor_margin = max(tensor_margin, lhs - rhs - ABS_TOL * max(1.0, rhs))
+
+    positivity_min = positivity_min_by_angle(t_matrix, s_matrix)
+
+    sup_passed = sup_margin <= 0.0
+    tensor_passed = tensor_margin <= 0.0
+    positivity_passed = positivity_min >= -ABS_TOL
+    return SubpositivityReport(
+        passed=bool(sup_passed and tensor_passed and positivity_passed),
+        sup_margin=float(sup_margin), tensor_margin=float(tensor_margin),
+        positivity_min=float(positivity_min), sup_passed=bool(sup_passed),
+        tensor_passed=bool(tensor_passed), positivity_passed=bool(positivity_passed))
+
+
+def positivity_min_by_angle(t_matrix, s_matrix) -> float:
+    """Least entry of S + Re(e^{i theta} T), one angle of SUBPOSITIVITY_THETAS at a time."""
+    least = math.inf
+    for theta in SUBPOSITIVITY_THETAS:
+        least = min(least, float((s_matrix + (np.exp(1j * theta) * t_matrix).real).min()))
+    return least
+
+
+def reconstruction_rows_by_angle(U: float, h: float, psi: float = math.pi / 4.0) -> list:
+    """The rows of cli._reconstruction_rows with one quadrature call per angle.
+
+    Each direct value is one m_theta call.
+    """
+    thetas = [t for t in (0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0, -math.pi / 4.0)
+              if abs(t) <= psi + 1e-15]
+    lams = np.geomspace(1e-2, 1e2, 25)
+    return [(theta, float(lam), abs(complex(rec) - m_theta(theta, float(lam))))
+            for theta in thetas
+            for lam, rec in zip(lams, mellin_reconstruct(theta, lams, U=U, h=h))]

@@ -17,6 +17,7 @@ from maxlab.cli import (
     _build_parser,
     _format_cell,
     _overrides_from_args,
+    _reconstruction_rows,
     _table_text,
     criterion_decomposition,
     main,
@@ -31,7 +32,7 @@ from maxlab.semigroup import (
     sector_contraction_probe,
     stein_angle,
 )
-from oracles import decomposition_residual_by_parts
+from oracles import decomposition_residual_by_parts, reconstruction_rows_by_angle
 
 
 def test_command_roster():
@@ -175,6 +176,22 @@ def test_cell_formatting():
     assert _format_cell(0.1) == "0.10000000000000001"
     assert _format_cell(1.0) == "1"
     assert _format_cell("label") == "label"
+
+
+def test_table_text_formats_each_cell_as_format_cell():
+    # the exact-type formatters must agree with the isinstance chain on every type
+    cells = [True, False, np.bool_(True), np.bool_(False), 0, -7, np.int64(-3), np.int32(4),
+             0.1, 1.0, -0.0, math.nan, -math.inf, 1e300, np.float64(1.0 / 3.0),
+             np.float64(-0.0), np.float32(0.1), "label", None]
+    rows = [cells, cells[::-1]]
+    want = "a\n" + "\n".join(",".join(_format_cell(cell) for cell in row) for row in rows) + "\n"
+    assert _table_text(("a",), rows) == want
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.1 * math.pi, 0.25 * math.pi])
+def test_reconstruction_rows_match_the_per_angle_loop(psi):
+    for U, h in ((40.0, 0.01), (40.0, 0.8), (20.0, 0.01)):
+        assert _reconstruction_rows(U, h, psi) == reconstruction_rows_by_angle(U, h, psi)
 
 
 def test_main_bip_plan_end_to_end(tmp_path, capsys):

@@ -14,6 +14,7 @@ from maxlab.core import (
     fiber_norm,
     field_parts,
     lp_norm,
+    lp_norms,
     random_field,
 )
 from oracles import total_mass
@@ -175,3 +176,43 @@ def test_random_field_draws_real_parts_then_imaginary_parts():
     expected = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     assert field.values.tobytes() == expected.tobytes()
     assert field.norm is descriptor
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_lp_norms_equal_lp_norm_row_by_row(p):
+    rng = np.random.default_rng(29)
+    for n in range(2, 17):
+        sp = WeightedSpace(rng.uniform(0.1, 3.0, n))
+        real = rng.standard_normal((6, n))
+        complex_rows = real + 1j * rng.standard_normal((6, n))
+        for f in (real, complex_rows, complex_rows.reshape(2, 3, n)):
+            got = lp_norms(sp, f, p)
+            assert got.shape == f.shape[:-1]
+            want = np.array([lp_norm(sp, row, p) for row in f.reshape(-1, n)])
+            assert got.tobytes() == want.tobytes()
+        assert lp_norms(sp, real[0], p).shape == ()
+        assert float(lp_norms(sp, real[0], p)) == lp_norm(sp, real[0], p)
+
+
+def test_lp_norms_take_one_scalar_root_per_entry():
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    rng = np.random.default_rng(0)
+    sp = WeightedSpace(rng.uniform(0.5, 2.0, 4))
+    f = rng.standard_normal((80, 4))
+    for p in (1.5, 3.0):
+        want = np.array([lp_norm(sp, row, p) for row in f])
+        assert lp_norms(sp, f, p).tobytes() == want.tobytes()
+        sums = np.array([sp.mu @ np.abs(row) ** p for row in f])
+        # numpy's AVX-512 pow rounds some of these roots differently from the scalar pow
+        if __cpu_features__.get("AVX512_SKX"):
+            assert np.any(sums ** (1.0 / p) != want)
+
+
+def test_lp_norms_rejects_bad_input():
+    sp = WeightedSpace(np.ones(3))
+    for shape in ((), (4,), (2, 4)):
+        with pytest.raises(ValueError, match="expected"):
+            lp_norms(sp, np.ones(shape), 2.0)
+    with pytest.raises(ValueError, match="p >= 1"):
+        lp_norms(sp, np.ones((2, 3)), 0.5)

@@ -167,13 +167,19 @@ def _reconstruct_one(nhat, u, h, lam):
     return complex(integral / (2.0 * math.pi))
 
 
-def test_mellin_reconstruct_takes_an_array_of_lambdas(monkeypatch):
+def _counted_gamma(monkeypatch) -> list:
+    """Record every argument passed to mellin.gamma_values from now on."""
     import maxlab.mellin as mellin
 
-    lams = np.geomspace(1e-2, 1e2, 25).reshape(5, 5)
-    gamma_calls = []
+    calls = []
     gamma_values = mellin.gamma_values
-    monkeypatch.setattr(mellin, "gamma_values", lambda z: gamma_calls.append(z) or gamma_values(z))
+    monkeypatch.setattr(mellin, "gamma_values", lambda z: calls.append(z) or gamma_values(z))
+    return calls
+
+
+def test_mellin_reconstruct_takes_an_array_of_lambdas(monkeypatch):
+    lams = np.geomspace(1e-2, 1e2, 25).reshape(5, 5)
+    gamma_calls = _counted_gamma(monkeypatch)
     for theta in (0.0, -math.pi / 8.0, math.pi / 4.0):
         gamma_calls.clear()
         got = mellin_reconstruct(theta, lams, U=8.0, h=0.05)
@@ -188,6 +194,44 @@ def test_mellin_reconstruct_takes_an_array_of_lambdas(monkeypatch):
     assert type(mellin_reconstruct(0.0, 1.0)) is complex
     with pytest.raises(ValueError):
         mellin_reconstruct(0.0, np.array([1.0, 0.0, 2.0]))
+
+
+def test_mellin_reconstruct_takes_an_array_of_angles(monkeypatch):
+    gamma_calls = _counted_gamma(monkeypatch)
+    thetas = np.array([0.0, math.pi / 8.0, -math.pi / 8.0, math.pi / 4.0, -math.pi / 4.0])
+    lams = np.geomspace(1e-2, 1e2, 12).reshape(3, 4)
+    for U, h in ((8.0, 0.05), (40.0, 0.8)):
+        gamma_calls.clear()
+        got = mellin_reconstruct(thetas, lams, U=U, h=h)
+        assert len(gamma_calls) == 1
+        assert got.shape == (5, 3, 4)
+        for theta, row in zip(thetas, got):
+            # each angle keeps its own sum, so sharing the phase rows changes no bit
+            assert row.tobytes() == mellin_reconstruct(float(theta), lams, U=U, h=h).tobytes()
+    assert mellin_reconstruct(thetas[:1], 2.0).shape == (1,)
+    assert mellin_reconstruct(thetas[3:], 2.0)[0] == mellin_reconstruct(thetas[3], 2.0)
+
+
+def test_mellin_reconstruct_refuses_any_angle_out_of_range():
+    for bad in (math.pi / 2.0, -2.0, math.nan):
+        for position in range(3):
+            thetas = [0.0, 0.3, -0.3]
+            thetas[position] = bad
+            with pytest.raises(ValueError, match="pi/2"):
+                mellin_reconstruct(np.array(thetas), np.array([0.5, 2.0]))
+    with pytest.raises(ValueError, match="1-d"):
+        mellin_reconstruct(np.zeros((2, 2)), 1.0)
+
+
+def test_decay_constant_makes_two_gamma_calls(monkeypatch):
+    # one per scan: the thetas of a table share their Gamma row
+    gamma_calls = _counted_gamma(monkeypatch)
+    decay_constant(math.pi / 4.0)
+    assert len(gamma_calls) == 2
+    gamma_calls.clear()
+    values, _ = n_hat_table(np.linspace(-0.5, 0.5, 7), np.linspace(-3.0, 3.0, 13))
+    assert len(gamma_calls) == 1
+    assert values.shape == (7, 13)
 
 
 def test_mellin_step_refinement():

@@ -16,14 +16,19 @@ from maxlab.semigroup import (
     semigroup_matrix,
 )
 from maxlab.modulus import (
-    SUBPOSITIVITY_THETAS,
     StabilizationError,
     linear_modulus,
     modulus_semigroup,
     subpositivity_suite,
     verify_domination,
 )
-from oracles import dyadic_modulus_product, modulus_generator
+from oracles import (
+    dyadic_modulus_product,
+    modulus_generator,
+    positivity_min_by_angle,
+    subpositivity_suite_by_trial,
+    verify_domination_by_trial,
+)
 
 
 def test_linear_modulus_is_entrywise_absolute_value():
@@ -187,14 +192,6 @@ def test_subpositivity_rejects_negative_majorant():
         subpositivity_suite(sp, np.eye(2), -np.eye(2), 2.0, BanachNormDescriptor(1, 2.0))
 
 
-def _positivity_min_by_angle(t_matrix, s_matrix) -> float:
-    """The per-angle loop that the one-array minimum replaced."""
-    least = math.inf
-    for theta in SUBPOSITIVITY_THETAS:
-        least = min(least, float((s_matrix + (np.exp(1j * theta) * t_matrix).real).min()))
-    return least
-
-
 def test_positivity_min_matches_the_angle_loop():
     rng = np.random.default_rng(23)
     descriptor = BanachNormDescriptor(2, 2.0)
@@ -206,9 +203,9 @@ def test_positivity_min_matches_the_angle_loop():
         for t in (real_t, complex_t):
             for s in (np.abs(t), 0.5 * np.abs(t)):
                 report = subpositivity_suite(gen.space, t, s, 2.0, descriptor, trials=1, seed=0)
-                assert report.positivity_min == _positivity_min_by_angle(t, s)
+                assert report.positivity_min == positivity_min_by_angle(t, s)
                 assert report.positivity_passed == (report.positivity_min >= -1e-10)
-        assert _positivity_min_by_angle(complex_t, 0.5 * np.abs(complex_t)) < -1e-3
+        assert positivity_min_by_angle(complex_t, 0.5 * np.abs(complex_t)) < -1e-3
 
 
 def test_subpositivity_refuses_non_finite_matrices():
@@ -225,3 +222,63 @@ def test_subpositivity_refuses_non_finite_matrices():
         subpositivity_suite(sp, t, np.eye(3), 2.0, descriptor)
     with pytest.raises(ValueError, match="T and S must have finite entries"):
         subpositivity_suite(sp, 0.5 * np.eye(3), np.full((3, 3), math.inf), 2.0, descriptor)
+
+
+def _seeded_contractions(count: int, seed: int):
+    """``count`` seeded contraction generators of 2 to 8 points, each with a time t."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        n = int(rng.integers(2, 9))
+        yield random_generator(n, seed + 571 * index + 3, kind="contraction"), float(
+            rng.uniform(0.1, 2.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 3])
+def test_subpositivity_suite_matches_the_per_trial_loop(p, d):
+    for index, (gen, t) in enumerate(_seeded_contractions(20, 41 + d)):
+        t_matrix = semigroup_matrix(gen, t)
+        descriptor = BanachNormDescriptor(d, (2.0, 3.0, 1.5, math.inf)[index % 4])
+        for s_matrix in (np.abs(t_matrix), 0.5 * np.abs(t_matrix)):
+            for trials in (1, 6):
+                args = (gen.space, t_matrix, s_matrix, p, descriptor)
+                assert (subpositivity_suite(*args, trials=trials, seed=index)
+                        == subpositivity_suite_by_trial(*args, trials=trials, seed=index))
+
+
+def test_subpositivity_control_and_rejections_match_the_per_trial_loop():
+    sp = WeightedSpace(np.array([0.5, 1.0, 2.0]))
+    descriptor = BanachNormDescriptor(3, 2.0)
+    control = (sp, 2.0 * np.eye(3), 2.0 * np.eye(3), 2.0, descriptor)
+    report = subpositivity_suite(*control, trials=6, seed=1)
+    assert report == subpositivity_suite_by_trial(*control, trials=6, seed=1)
+    assert not report.sup_passed and not report.tensor_passed
+    nan_majorant = np.eye(3)
+    nan_majorant[0, 2] = math.nan
+    overflowing = np.full((3, 3), 1e308)
+    for t_matrix, s_matrix in ((0.5 * np.eye(3), nan_majorant), (0.5 * np.eye(3), -np.eye(3)),
+                               (np.full((3, 3), math.inf), np.eye(3)),
+                               (overflowing, overflowing)):
+        for suite in (subpositivity_suite, subpositivity_suite_by_trial):
+            with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+                suite(sp, t_matrix, s_matrix, 2.0, descriptor, trials=3, seed=0)
+
+
+def test_verify_domination_matches_the_per_trial_loop():
+    for index, (gen, _) in enumerate(_seeded_contractions(20, 31)):
+        for trials in (1, 5):
+            report = verify_domination(gen, trials=trials, seed=index)
+            assert report == verify_domination_by_trial(gen, trials=trials, seed=index)
+            assert report.checked == trials * 4
+    diffusion = random_generator(6, 33, kind="diffusion")
+    assert verify_domination(diffusion, 3, 2) == verify_domination_by_trial(diffusion, 3, 2)
+
+
+def test_modulus_checks_refuse_no_trials():
+    gen = random_generator(3, 34, kind="contraction")
+    t_matrix = semigroup_matrix(gen, 0.5)
+    with pytest.raises(ValueError, match="trials"):
+        verify_domination(gen, trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        subpositivity_suite(gen.space, t_matrix, np.abs(t_matrix), 2.0,
+                            BanachNormDescriptor(1, 2.0), trials=0)

@@ -388,6 +388,21 @@ def test_family_sup_matches_per_node_loop(n):
                                                        rtol=1e-14, atol=0.0)
 
 
+def test_family_sup_on_real_rows_and_values():
+    # a real block has one plane of squared moduli, written where g * coeff was
+    rng = np.random.default_rng(1150)
+    dec = random_generator(8, 1250, kind="contraction").decomposition
+    block = FAMILY_BLOCK_ELEMENTS // 4
+    for count in (1, block, block + 1):
+        gvals = rng.standard_normal((count, 8))
+        values = rng.standard_normal((8, 4))
+        for r in (1.5, 2.0, 4.0, math.inf):
+            got = family_sup(dec, gvals, values, r)
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, _reference_family_sup(dec, gvals, values, r),
+                                       rtol=1e-14, atol=0.0)
+
+
 def test_family_sup_rejects_nonfinite_rows():
     gen = random_generator(4, 1400)
     gvals = np.ones((FAMILY_BLOCK_ELEMENTS + 5, 4), dtype=complex)
@@ -430,9 +445,9 @@ def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
     sizes = []
     product = spectral._product
 
-    def recording(dec, rows, coeff):
+    def recording(dec, rows, coeff, work):
         sizes.append(len(rows))
-        return product(dec, rows, coeff)
+        return product(dec, rows, coeff, work)
 
     monkeypatch.setattr(spectral, "_product", recording)
     rng = np.random.default_rng(1451)
@@ -463,6 +478,10 @@ def test_product_keeps_the_bits_of_the_mixed_type_matmul(n):
                     want = v @ (g[..., None] * coeff)
                 got = _product(dec, g, coeff)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                # the work arrays family_sup reuses across its blocks change no bit
+                work = tuple(np.empty(g.shape[:-1] + coeff.shape, kind)
+                             for kind in (np.result_type(g, coeff), np.result_type(v, g, coeff)))
+                assert _product(dec, g, coeff, work).tobytes() == want.tobytes()
     # a real product stays real
     assert _product(dec, np.ones(n), np.ones((n, 2))).dtype == np.float64
 
