@@ -177,7 +177,7 @@ def _m_theta_values(theta, lam) -> np.ndarray:
 def m_theta(theta: float, lam: float) -> complex:
     """Multiplier exp(-e^{i theta} lambda) - (1 - e^{-lambda})/lambda, 0 at lambda = 0."""
     theta = float(theta)
-    if abs(theta) >= math.pi / 2.0:
+    if not abs(theta) < math.pi / 2.0:
         raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
     lam = float(lam)
     if lam < 0.0:
@@ -271,7 +271,7 @@ def apply_m_theta(gen, theta: float, t: float, field):
     kernel (m_theta(0) = 0), so no Mellin representation is involved here.
     """
     theta = float(theta)
-    if abs(theta) >= math.pi / 2.0:
+    if not abs(theta) < math.pi / 2.0:
         raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
@@ -335,7 +335,7 @@ def truncation_bound(theta: float, U: float, constant: float) -> float:
     (C/pi) e^{(|theta|-pi/2) U} / (pi/2 - |theta|).
     """
     a = math.pi / 2.0 - abs(float(theta))
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("tail bound needs |theta| < pi/2")
     return constant / math.pi * math.exp(-a * float(U)) / a
 

@@ -12,7 +12,10 @@ fields, and share the kernel's two halves: the coefficients V^T D F,
 which family_sup computes once per family, and the product with V,
 which it makes for blocks of at most FAMILY_BLOCK_ELEMENTS (512) rows x
 columns, reducing each block to fiber norms from the squared moduli and
-taking one root per point after the sup.
+taking one root per point after the sup.  Each half is one real matrix
+product on the float view of its complex operand, with the real and
+imaginary parts of the columns on its rows, so the real V is never cast
+to complex.
 
 The module also carries a Lanczos evaluation of the complex Gamma
 function (needed by the multiplier transforms downstream) and exact
@@ -29,7 +32,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,10 +62,12 @@ __all__ = [
 KERNEL_SNAP_REL = 1e-12
 
 # Budget of rows x columns per block applied by family_sup, so a block holds
-# at most (n, 512) complex values whatever the batch width: 32 rows of a
-# d = 16 field, 8 rows of four stacked ones.  Against 39.0 MB for one field
-# per call, `maxlab maximal --n 48` peaked at 43.3 MB RSS with 32-row blocks
-# over 4 x 16 stacked columns, and at 40.0 MB with this budget.
+# at most 512 complex columns of n values, 1024 real planes, whatever the
+# batch width: 32 rows of a d = 16 field, 8 rows of four stacked ones.  With
+# the complex product it replaced, and against 39.0 MB for one field per
+# call, `maxlab maximal --n 48` peaked at 43.3 MB RSS with 32-row blocks over
+# 4 x 16 stacked columns, and at 40.0 MB with this budget; with the real
+# product it peaks at 38.5 MB.
 FAMILY_BLOCK_ELEMENTS = 512
 
 
@@ -107,6 +112,11 @@ class SpectralDecomposition:
     space: WeightedSpace
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    # a C-ordered copy of V^T, the right operand of the multiplier product
+    eigenvectors_t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eigenvectors_t", np.ascontiguousarray(self.eigenvectors.T))
 
     @property
     def n(self) -> int:
@@ -166,40 +176,34 @@ def _checked(dec: SpectralDecomposition, gvals, values) -> tuple[np.ndarray, np.
 
 
 def _coefficients(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
-    """Coefficients ``V^T D F`` of a field's columns: (n, C), or (C, n, 1) for width-1 fields.
+    """Coefficients ``V^T D F`` of a field's columns, (n, C).
 
-    A batch of width-1 fields (n, T, 1) is kept as a stack of T (n, 1)
-    columns, so that each is multiplied alone, as a matrix-vector product.
+    One real matrix product with the columns on its rows: the transpose of
+    the float view of ``D F``, (2C, n) for complex values, times V.  Row 2c
+    of the result holds the real part of column c's coefficients and row
+    2c + 1 the imaginary part, and it is copied back to complex (n, C).
     """
-    cols = values.reshape(dec.n, -1)
-    mu = dec.space.mu[:, None]
-    if values.ndim > 2 and values.shape[-1] == 1:
-        return dec.eigenvectors.T @ (mu * cols.T[..., None])
-    return dec.eigenvectors.T @ (mu * cols)
+    weighted = dec.space.mu[:, None] * values.reshape(dec.n, -1)
+    planes = weighted.view(float).T @ dec.eigenvectors
+    return np.ascontiguousarray(planes.T).view(weighted.dtype)
 
 
 def _product(dec: SpectralDecomposition, gvals: np.ndarray, coeff: np.ndarray,
              work=(None, None)) -> np.ndarray:
-    """``V (g * coeff)`` for rows ``gvals`` (n,) or (K, n): ``gvals.shape[:-1] + (n, C)``.
+    """``V (g * coeff)`` for rows ``gvals`` (n,) or (K, n), as planes (..., 2C, n).
 
-    A complex product casts the real V to complex once per call, into the
-    C-ordered copy that matmul would make for itself, so the same zgemm
-    runs on the same operands and gives the same bits.  Left to matmul, the
-    cast took about a fifth of the time of an (8, 48, 64) block.  ``work``
-    may hold two C-ordered arrays of shape ``gvals.shape[:-1] + coeff.shape``
-    to receive ``g * coeff`` and the product, so that a caller applying
-    many blocks reuses them.
+    The transpose of the float view of ``g * coeff`` (..., n, C), which is
+    (..., 2C, n) when it is complex, times the C-ordered V^T is one real
+    matrix product per row g, so no multiplication by a zero imaginary part
+    of V is made.  Row 2c of the result holds the real part of column c of
+    the image and row 2c + 1 its imaginary part; a real g on real
+    coefficients gives the C rows of the real image.  ``work`` may hold two C-ordered arrays, of
+    shapes ``gvals.shape[:-1] + coeff.shape`` and of the result, to receive
+    ``g * coeff`` and the product, so that a caller applying many blocks
+    reuses them.
     """
-    # a stack of (n, 1) columns, (..., C, n, 1), is turned back to (..., n, C)
-    stacked = coeff.ndim == 3
-    scaled = np.multiply(gvals[..., None, :, None] if stacked else gvals[..., None], coeff,
-                         out=work[0])
-    v = dec.eigenvectors
-    kind = np.result_type(v, scaled)
-    if kind != v.dtype:
-        v = np.asarray(v, dtype=kind, order="C")
-    out = np.matmul(v, scaled, out=work[1])
-    return out[..., 0].swapaxes(-1, -2) if stacked else out
+    scaled = np.multiply(gvals[..., None], coeff, out=work[0])
+    return np.matmul(scaled.view(float).swapaxes(-1, -2), dec.eigenvectors_t, out=work[1])
 
 
 def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
@@ -208,18 +212,24 @@ def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
     ``gvals`` holds one value per eigenvalue, as one row (n,) or a family
     of rows (K, n); ``values`` is an array (n, ...) of any trailing shape,
     such as a vector (n,), the (n, d) columns of a field or a batch
-    (n, T, d), which is applied as one set of columns.  The result has shape
-    ``gvals.shape[:-1] + values.shape``, one field per row.
+    (n, T, d), which is applied as one set of columns.  The result is a
+    C-ordered array of shape ``gvals.shape[:-1] + values.shape``, one field
+    per row, complex unless both g and the values are real.
 
     The work has two halves, which family_sup shares: the coefficients
     ``V^T D F`` of the columns, and the product ``V (g * coeff)`` for the
-    rows.  numpy multiplies a single column by a matrix-vector product and
-    several by a matrix product, and the two round differently.  So a batch
-    of width-1 fields (n, T, 1) is applied one column at a time, and every
-    field of a batch comes out bit for bit as it does alone.
+    rows.  Each is one real matrix product with the 2C real and imaginary
+    parts of the C columns on its rows, and from two rows on a row of a
+    real matrix product comes out the same whatever the number of rows.
+    So every field of a batch comes out bit for bit as it does alone.  Real
+    values, which no Bochner field holds, give one row per column, and a
+    single real column is a matrix-vector product, which rounds
+    differently.
     """
     gvals, values = _checked(dec, gvals, values)
-    out = _product(dec, gvals, _coefficients(dec, values))
+    coeff = _coefficients(dec, values)
+    planes = _product(dec, gvals, coeff)
+    out = np.ascontiguousarray(planes.swapaxes(-1, -2)).view(np.result_type(gvals, coeff))
     return out.reshape(gvals.shape[:-1] + values.shape)
 
 
@@ -235,21 +245,20 @@ def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     ``gvals`` is (K, n) with K >= 1, or one row (n,); ``values`` is
     (n, ..., d) with the l^r fiber norm over the last axis, for instance
     the (n, d) columns of one field or a batch (n, T, d) of T fields; the
-    result has shape ``values.shape[:-1]``.  A 1-d ``values`` is refused:
-    it has no fiber axis, and read as one point it would sum the points.
+    result is a C-ordered array of shape ``values.shape[:-1]``.  A 1-d
+    ``values`` is refused: it has no fiber axis, and read as one point it
+    would sum the points.
 
     One pass per family: the coefficients ``V^T D F`` are computed once,
     then the rows are applied in blocks of at most FAMILY_BLOCK_ELEMENTS
     rows x columns, where a point holds ``values[0].size`` columns, each
     block by apply_multiplier's own product, so every value of g(L) F is
-    bit for bit apply_multiplier's.  Each block is reduced at once from the
-    squared modulus ``s = re^2 + im^2``: ``sum_d s`` for r = 2, ``max_d s``
-    for r = inf, ``sum_d s^(r/2)`` otherwise; the block max over rows is
-    kept, and one root per point, ``sqrt`` or ``**(1/r)``, is taken after
-    the sup.  The product stays a complex matrix product
-    (zgemm): a real one on the float view of a block is faster, but rounds
-    differently with the block's column count, so a field would not come
-    out bit for bit as it does alone in a batch.
+    bit for bit apply_multiplier's.  Each block is reduced at once from
+    its planes, the squared modulus ``s = re^2 + im^2`` of each entry being
+    the sum of two squared rows: ``sum_d s`` for r = 2, ``max_d s`` for
+    r = inf, ``sum_d s^(r/2)`` otherwise, each in order of d; the block max
+    over rows is kept, and one root per point, ``sqrt`` or ``**(1/r)``, is
+    taken after the sup.
 
     The kernel is accurate while the entries of g(L) F have moduli between
     about 1.5e-154 and 1.3e154: the squared modulus overflows above and
@@ -263,32 +272,34 @@ def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:
     if values.ndim < 2:
         raise ValueError(f"field values need a fiber axis, (n, ..., d), got shape {values.shape}")
     coeff = _coefficients(dec, values)
-    rows = min(gvals.shape[0], max(1, FAMILY_BLOCK_ELEMENTS // max(1, values[0].size)))
-    # One allocation serves every block: g * coeff, the product, and then,
-    # in the memory of g * coeff, the squared moduli (one float plane per
-    # part of the product).  Allocated anew for each block, these temporaries
-    # made `maxlab maximal --n 48` up to a sixth slower in some heap layouts
-    # (set by the code's size and even by the checkout's path), which fixing
-    # glibc's trim and mmap thresholds also cured.
+    n, columns = coeff.shape
+    rows = min(gvals.shape[0], max(1, FAMILY_BLOCK_ELEMENTS // max(1, columns)))
+    # One allocation serves every block: g * coeff, the planes of the
+    # product, and then, in the memory of g * coeff, the squared moduli.
+    # Allocated anew for each block, these temporaries made `maxlab maximal
+    # --n 48` up to a sixth slower in some heap layouts (set by the code's
+    # size and even by the checkout's path), which fixing glibc's trim and
+    # mmap thresholds also cured.
     scaled, product = np.empty((2, rows) + coeff.shape, np.result_type(gvals, coeff))
-    planes = scaled.reshape(-1).view(float).reshape(-1, rows, dec.n, values[0].size)
-    best = np.zeros(values.shape[:-1])
+    planes = product.view(float).reshape(rows, -1, n)
+    squares = scaled.reshape(-1).view(float)[:rows * columns * n].reshape(rows, columns, n)
+    best = np.zeros(values.shape[1:-1] + (n,))
     for start in range(0, gvals.shape[0], rows):
         count = min(rows, gvals.shape[0] - start)
-        block = _product(dec, gvals[start:start + count], coeff,
-                         (scaled[:count], product[:count]))
-        s = np.square(block.real, out=planes[0, :count])
-        if np.iscomplexobj(block):
-            s += np.square(block.imag, out=planes[1, :count])
-        s = s.reshape((-1,) + values.shape)
+        block = _product(dec, gvals[start:start + count], coeff, (scaled[:count], planes[:count]))
+        s = np.square(block, out=block)
+        if np.iscomplexobj(scaled):
+            s = np.add(block[:, 0::2], block[:, 1::2], out=squares[:count])
+        s = s.reshape((count,) + values.shape[1:] + (n,))
         if math.isinf(r):
-            s = s.max(axis=-1)
+            s = s.max(axis=-2)
         else:
             if r != 2.0:
                 s **= r / 2.0
-            s = s.sum(axis=-1)
-        best = np.maximum(best, s.max(axis=0))
-    return np.sqrt(best) if r in (2.0, math.inf) else best ** (1.0 / r)
+            s = s.sum(axis=-2)
+        np.maximum(best, s.max(axis=0), out=best)
+    best = np.sqrt(best) if r in (2.0, math.inf) else best ** (1.0 / r)
+    return np.ascontiguousarray(np.moveaxis(best, -1, 0))
 
 
 def spectral_matrix(dec: SpectralDecomposition, gvals: np.ndarray) -> np.ndarray:

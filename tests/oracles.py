@@ -5,11 +5,13 @@ fiber dimension d = 1.  Most of the rest are a second route to a
 quantity that `maxlab` computes another way: the modulus generator to
 the dyadic modulus semigroup, the product of increment moduli to its
 repeated squaring, the dense L^(iu) matrix to the spectral calculus on
-fields, the three terms of the sector decomposition applied one at a
-time to its batched residuals, and the per-trial and per-angle loops that
-the modulus checks and the Mellin quadrature table replaced with one
-array pass.  The grid refinements check that grid suprema never decrease
-as nodes are added.
+fields, a complex matrix product with V cast to complex to the
+multiplier kernel's real product on the float view, the three terms of
+the sector decomposition applied one at a time to its batched
+residuals, and the per-trial and per-angle loops that the modulus
+checks and the Mellin quadrature table replaced with one array pass.
+The grid refinements check that grid suprema never decrease as nodes
+are added.
 """
 
 import math
@@ -74,6 +76,17 @@ def imaginary_power_matrix(gen, u: float) -> np.ndarray:
     pos = lam > 0.0
     gvals[pos] = np.exp(1j * float(u) * np.log(lam[pos]))
     return spectral_matrix(gen.decomposition, gvals)
+
+
+def complex_multiplier_product(dec, gvals, coeff) -> np.ndarray:
+    """``V (g * coeff)`` as one complex matrix product: ``gvals.shape[:-1] + coeff.shape``.
+
+    For complex rows or coefficients the real V is cast to complex, so the
+    product is a zgemm, half of whose multiplications are by the zero
+    imaginary part of V.
+    """
+    scaled = np.asarray(gvals)[..., None] * coeff
+    return np.asarray(dec.eigenvectors, dtype=scaled.dtype) @ scaled
 
 
 def total_mass(space) -> float:

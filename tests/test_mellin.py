@@ -223,6 +223,23 @@ def test_mellin_reconstruct_refuses_any_angle_out_of_range():
         mellin_reconstruct(np.zeros((2, 2)), 1.0)
 
 
+def _apply_m_theta_at(theta):
+    field = BochnerField(np.ones((3, 2), dtype=complex), BanachNormDescriptor(2, 2.0))
+    return apply_m_theta(random_generator(3, 30, kind="diffusion"), theta, 1.0, field)
+
+
+@pytest.mark.parametrize("check", [
+    lambda theta: m_theta(theta, 1.0),
+    _apply_m_theta_at,
+    lambda theta: truncation_bound(theta, 10.0, 1.0),
+], ids=["m_theta", "apply_m_theta", "truncation_bound"])
+def test_the_angle_checks_refuse_a_nan_angle(check):
+    # |nan| >= pi/2 is False, so each check asks for |theta| < pi/2 instead
+    with pytest.raises(ValueError, match="pi/2"):
+        check(math.nan)
+    check(0.3)
+
+
 def test_decay_constant_makes_two_gamma_calls(monkeypatch):
     # one per scan: the thetas of a table share their Gamma row
     gamma_calls = _counted_gamma(monkeypatch)

@@ -32,6 +32,7 @@ from maxlab.spectral import (
     orthonormality_defect,
     spectral_matrix,
 )
+from oracles import complex_multiplier_product
 
 
 def random_mu_symmetric(rng, n):
@@ -461,29 +462,79 @@ def test_family_sup_blocks_follow_the_element_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 8, 48])
-def test_product_keeps_the_bits_of_the_mixed_type_matmul(n):
+def test_product_agrees_with_the_complex_oracle(n):
+    # both routes round within n eps sum_k |V_jk| |s_kc| <= n eps ||V|| ||s_c|| of V s
     from maxlab.spectral import _product
 
     dec = random_generator(n, 1452).decomposition
     v = dec.eigenvectors
+    bound = 4.0 * n * np.finfo(float).eps * np.linalg.norm(v, 2)
     rng = np.random.default_rng(1453)
     for rows in (1, 8, 27):
         gvals = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-        for shape in ((n, 1), (n, 3), (n, 64), (3, n, 1), (16, n, 1)):
-            coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for width in (1, 3, 64):
+            coeff = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
             for g in (gvals, gvals[0], gvals.real):
-                if len(shape) == 3:
-                    want = (v @ (g[..., None, :, None] * coeff))[..., 0].swapaxes(-1, -2)
-                else:
-                    want = v @ (g[..., None] * coeff)
-                got = _product(dec, g, coeff)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-                # the work arrays family_sup reuses across its blocks change no bit
-                work = tuple(np.empty(g.shape[:-1] + coeff.shape, kind)
-                             for kind in (np.result_type(g, coeff), np.result_type(v, g, coeff)))
-                assert _product(dec, g, coeff, work).tobytes() == want.tobytes()
-    # a real product stays real
-    assert _product(dec, np.ones(n), np.ones((n, 2))).dtype == np.float64
+                want = complex_multiplier_product(dec, g, coeff)
+                # the planes (..., 2C, n) as the complex image (..., n, C)
+                got = np.ascontiguousarray(_product(dec, g, coeff).swapaxes(-1, -2)).view(complex)
+                assert got.shape == want.shape
+                tol = bound * np.linalg.norm(g[..., None] * coeff, axis=-2, keepdims=True)
+                assert np.all(np.abs(got - want) <= tol)
+    # a real g on real coefficients gives the real image
+    g, coeff = rng.standard_normal(n), rng.standard_normal((n, 3))
+    got = _product(dec, g, coeff)
+    assert got.dtype == np.float64 and got.shape == (3, n)
+    assert np.all(np.abs(got.T - complex_multiplier_product(dec, g, coeff))
+                  <= bound * np.linalg.norm(g[:, None] * coeff, axis=0))
+
+
+@pytest.mark.parametrize("n", [2, 8, 48])
+def test_kernel_rows_do_not_depend_on_the_row_count(n):
+    # from two rows on, a row of the real product has the same bits whatever
+    # the number of rows, so a column comes out alone as it does among others
+    from maxlab.spectral import _coefficients, _product
+
+    dec = random_generator(n, 1454).decomposition
+    rng = np.random.default_rng(1455)
+    values = rng.standard_normal((n, 64)) + 1j * rng.standard_normal((n, 64))
+    coeff = _coefficients(dec, values)
+    gvals = rng.standard_normal((27, n)) + 1j * rng.standard_normal((27, n))
+    for g in (gvals[0], gvals[0].real):
+        full = _product(dec, g, coeff)
+        for width in range(1, 65):
+            assert _coefficients(dec, values[:, :width]).tobytes() == coeff[:, :width].tobytes()
+            assert _product(dec, g, coeff[:, :width]).tobytes() == full[:2 * width].tobytes()
+        for width in (1, 3):
+            for first in range(0, 64, 7):
+                cols = slice(first, first + width)
+                assert _coefficients(dec, values[:, cols]).tobytes() == coeff[:, cols].tobytes()
+                part = _product(dec, g, coeff[:, cols])
+                assert part.tobytes() == full[2 * first:2 * (first + width)].tobytes()
+    for width in (1, 3, 64):
+        stacked = _product(dec, gvals, coeff[:, :width])
+        for k, g in enumerate(gvals):
+            assert stacked[k].tobytes() == _product(dec, g, coeff[:, :width]).tobytes()
+        # the work arrays family_sup reuses across its blocks change no bit
+        work = (np.empty((27, n, width), complex), np.empty((27, 2 * width, n)))
+        assert _product(dec, gvals, coeff[:, :width], work).tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_kernel_results_are_c_ordered(n):
+    # fiber_norm sums over d in memory order, so a strided image would round differently
+    dec = random_generator(n, 1456).decomposition
+    rng = np.random.default_rng(1457)
+    family = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    for shape in ((n,), (n, 1), (n, 3), (n, 4, 1), (n, 4, 3)):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for gvals, vals in ((family, values), (family[0], values), (family.real, values.real),
+                            (family[0].real, values.real)):
+            out = apply_multiplier(dec, gvals, vals)
+            assert out.flags.c_contiguous and out.shape == gvals.shape[:-1] + shape
+            assert out.dtype == np.result_type(gvals, vals)
+            if len(shape) > 1:
+                assert family_sup(dec, gvals, vals, 3.0).flags.c_contiguous
 
 
 def test_family_sup_computes_the_coefficients_once(monkeypatch):
