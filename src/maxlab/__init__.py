@@ -59,7 +59,6 @@ from .mellin import (
     BipPlanError,
     bip_plan,
     decay_constant,
-    decomposition_residual,
     decomposition_residuals,
     imaginary_power_estimate,
     m_theta,
@@ -87,7 +86,7 @@ __all__ = [
     "verify_domination",
     "ergodic_average", "hds_bound", "hds_experiment", "maximal_ergodic",
     "BipPlan", "BipPlanError", "bip_plan", "decay_constant",
-    "decomposition_residual", "decomposition_residuals", "imaginary_power_estimate", "m_theta",
+    "decomposition_residuals", "imaginary_power_estimate", "m_theta",
     "maximal_theorem_experiment", "mellin_reconstruct", "n_hat", "n_hat_table",
     "pointwise_convergence_profile", "sector_maximal", "truncation_bound",
 ]

@@ -34,7 +34,7 @@ __all__ = [
 ABS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSpace:
     """Finite measure space: ``n`` points with strictly positive masses."""
 
@@ -53,14 +53,6 @@ class WeightedSpace:
     @property
     def n(self) -> int:
         return self.mu.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedSpace):
-            return NotImplemented
-        return self.mu.shape == other.mu.shape and bool(np.all(self.mu == other.mu))
-
-    def __hash__(self) -> int:
-        return hash(self.mu.tobytes())
 
 
 @dataclass(frozen=True)
@@ -156,12 +148,12 @@ def lp_norm(space: WeightedSpace, f, p: float) -> float:
 def lp_norms(space: WeightedSpace, f, p: float) -> np.ndarray:
     """lp_norm of every row of a stack ``f`` of shape (..., n), with shape ``f.shape[:-1]``.
 
-    Each value is bit for bit lp_norm's: the weighted sums are stacked
-    ``(1, n) @ (n, 1)`` products, the same dot lp_norm makes, and the root
-    is taken one entry at a time, because numpy's vectorised pow rounds
-    differently from the scalar pow.
+    Each value is bit for bit lp_norm's, for any memory layout: the weighted
+    sums of the C-ordered stack are ``(1, n) @ (n, 1)`` products, the same
+    dot lp_norm makes, and the root is taken one entry at a time, because
+    numpy's vectorised pow rounds differently from the scalar pow.
     """
-    f = np.asarray(f)
+    f = np.ascontiguousarray(f)
     if f.ndim == 0 or f.shape[-1] != space.n:
         raise ValueError(f"fields have shape {f.shape}, expected (..., {space.n})")
     p = float(p)

@@ -29,6 +29,7 @@ from .core import (
     fiber_norm,
     field_parts,
     lp_norm,
+    lp_norms,
     random_field,
 )
 from .ergodic import _averaging_values, maximal_ergodic
@@ -64,7 +65,6 @@ __all__ = [
     "m_theta_maximal",
     "mellin_reconstruct",
     "truncation_bound",
-    "decomposition_residual",
     "decomposition_residuals",
     "sector_maximal",
     "maximal_theorem_experiment",
@@ -163,15 +163,14 @@ class BipEstimate:
 
 
 def _m_theta_values(theta, lam) -> np.ndarray:
-    """Vectorised m_theta on a nonnegative spectrum (0 at 0); theta and lam broadcast."""
+    """Vectorised m_theta, exp(-e^{i theta} lambda) - phi(lambda), theta and lam broadcast.
+
+    phi is _averaging_values at t = 1, so m_theta is 0 at 0.  It is added negated, not
+    subtracted, so an imaginary part -0 of the exponential (at theta = 0) becomes +0.
+    """
     theta = np.asarray(theta, dtype=float)
-    phase, lam = np.broadcast_arrays(np.cos(theta) + 1j * np.sin(theta),
-                                     np.asarray(lam, dtype=float))
-    out = np.zeros(lam.shape, dtype=complex)
-    nz = lam > 0.0
-    lnz = lam[nz]
-    out[nz] = np.exp(-phase[nz] * lnz) + np.expm1(-lnz) / lnz
-    return out
+    lam = np.asarray(lam, dtype=float)
+    return np.exp(-(np.cos(theta) + 1j * np.sin(theta)) * lam) + -_averaging_values(lam, 1.0)
 
 
 def m_theta(theta: float, lam: float) -> complex:
@@ -391,11 +390,6 @@ def decomposition_residuals(gen, zs, fields) -> np.ndarray:
     return out
 
 
-def decomposition_residual(gen, z: complex, field) -> float:
-    """Residual of the exact two-term decomposition at z: decomposition_residuals of one pair."""
-    return float(decomposition_residuals(gen, [z], [field])[0])
-
-
 def sector_maximal(gen, field, grid: SectorGrid) -> np.ndarray:
     """Pointwise sup over the sector grid of |exp(-z L) F|_B.
 
@@ -473,7 +467,7 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
     (C_emp(d_max)/C_emp(d_min) <= UNIFORMITY_MAX) with the per-trial triangle bound
     against the ergodic and multiplier parts.  A member's trials at one d
     are one batch: each of the three maximal functions is called once on
-    the list of its fields.
+    the list of its fields, and their L^p norms are one lp_norms call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -501,14 +495,12 @@ def maximal_theorem_experiment(spec: EnsembleSpec, p: float, r: float, psi: floa
             sector = sector_maximal(gen, fields, grid)
             ergodic = maximal_ergodic(gen, fields, grid.radii)
             multiplier = m_theta_maximal(gen, fields, grid)
-            for j, field in enumerate(fields):
-                denom = bochner_norm(gen.space, field, p)
-                maximal = lp_norm(gen.space, sector[:, j], p)
-                worst = max(worst, maximal / denom)
-                ergodic_part = lp_norm(gen.space, ergodic[:, j], p)
-                multiplier_part = lp_norm(gen.space, multiplier[:, j], p)
-                excess = maximal - ergodic_part - multiplier_part - 1e-9 * denom
-                max_excess = max(max_excess, excess)
+            denom = np.array([bochner_norm(gen.space, field, p) for field in fields])
+            maximal, ergodic_part, multiplier_part = lp_norms(
+                gen.space, np.stack([sector, ergodic, multiplier]).swapaxes(-1, -2), p)
+            worst = max(worst, float((maximal / denom).max()))
+            excess = maximal - ergodic_part - multiplier_part - 1e-9 * denom
+            max_excess = max(max_excess, float(excess.max()))
         c_emp.append(worst)
     top = c_emp[int(np.argmax(d_list))]
     low = c_emp[int(np.argmin(d_list))]

@@ -196,7 +196,7 @@ def subpositivity_suite(space: WeightedSpace, t_matrix: np.ndarray, s_matrix: np
     families = []
     for _ in range(trials):
         k = int(rng.integers(2, 6))
-        families.append(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+        families.append(_gaussian_batch(rng, 1, (k, n))[0])
     starts = np.cumsum([0] + [len(family) for family in families[:-1]])
     members = np.concatenate(families)
     moved = np.abs(t_matrix @ members[:, :, None])[..., 0]

@@ -356,7 +356,7 @@ def stein_angle(p: float) -> float:
 def check_sector_angle(p: float, psi: float) -> None:
     """Raise ValueError unless the half-angle psi lies within stein_angle(p), up to rounding."""
     limit = stein_angle(p)
-    if psi > limit + 1e-15:
+    if not psi <= limit + 1e-15:
         raise ValueError(f"sector half-angle psi = {float(psi)!r} exceeds the contraction "
                          f"sector angle {limit!r} at p = {float(p):g}")
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ABS_TOL, WeightedSpace, field_parts
+from .core import ABS_TOL, WeightedSpace, _gaussian_batch, field_parts
 
 __all__ = [
     "MuSymmetricOperator",
@@ -179,11 +179,12 @@ def _coefficients(dec: SpectralDecomposition, values: np.ndarray) -> np.ndarray:
     """Coefficients ``V^T D F`` of a field's columns, (n, C).
 
     One real matrix product with the columns on its rows: the transpose of
-    the float view of ``D F``, (2C, n) for complex values, times V.  Row 2c
-    of the result holds the real part of column c's coefficients and row
-    2c + 1 the imaginary part, and it is copied back to complex (n, C).
+    the float view of ``D F``, made C-ordered whatever the layout of F,
+    (2C, n) for complex values, times V.  Row 2c of the result holds the
+    real part of column c's coefficients and row 2c + 1 the imaginary part,
+    and it is copied back to complex (n, C).
     """
-    weighted = dec.space.mu[:, None] * values.reshape(dec.n, -1)
+    weighted = np.multiply(dec.space.mu[:, None], values.reshape(dec.n, -1), order="C")
     planes = weighted.view(float).T @ dec.eigenvectors
     return np.ascontiguousarray(planes.T).view(weighted.dtype)
 
@@ -407,21 +408,18 @@ def _dual_sign_power(y: np.ndarray, e: float) -> np.ndarray:
 def _boyd_block(space: WeightedSpace, mats, p: float, trials: int, rng) -> np.ndarray:
     """Boyd/Higham lower bounds for a family of K matrices (n, n), one per matrix.
 
-    Each matrix is conjugated to ``B = D^(1/p) A D^(-1/p)`` and iterated on
-    a block of n + trials columns: the standard basis and the matrix's own
-    row of one ``rng.standard_normal((K, trials, 2, n))`` draw, which reads
-    the stream as K draws of (trials, 2, n) in turn.  The family runs as
-    one (K, n, n + trials) iteration.  A matrix is frozen once none of its
-    columns grows, so it takes the steps, and gives the bits, it would
-    alone; later steps work only on the matrices still active.  Real and
-    complex matrices iterate apart, since a real matrix run as complex
-    rounds differently.
+    Each matrix is conjugated to ``B = D^(1/p) A D^(-1/p)``, as complex, and
+    iterated on a block of n + trials columns: the standard basis and the
+    matrix's own ``trials`` seeded complex starts, drawn for the matrices in
+    turn.  The family runs as one (K, n, n + trials) iteration.  A matrix is
+    frozen once none of its columns grows, so it takes the steps, and gives
+    the bits, it would alone; later steps work only on the matrices still
+    active.
     """
-    mats = [np.asarray(a) for a in mats]
     n = space.n
     for a in mats:
-        if a.shape != (n, n):
-            raise ValueError(f"matrix must have shape ({n}, {n}), got {a.shape}")
+        if np.shape(a) != (n, n):
+            raise ValueError(f"matrix must have shape ({n}, {n}), got {np.shape(a)}")
     p = float(p)
     if not (1.0 < p < math.inf):
         raise ValueError(f"lower bounds need 1 < p < inf, got {p}")
@@ -429,30 +427,25 @@ def _boyd_block(space: WeightedSpace, mats, p: float, trials: int, rng) -> np.nd
         raise ValueError("trials must be >= 1")
     q = p / (p - 1.0)
     w = space.mu ** (1.0 / p)
-    # each start draws its real, then its imaginary part, in matrix and trial order
-    draws = rng.standard_normal((len(mats), trials, 2, n))
-    starts = (draws[:, :, 0] + 1j * draws[:, :, 1]).swapaxes(-1, -2)
+    rows = np.arange(len(mats))
+    starts = _gaussian_batch(rng, rows.size * trials, (n,)).reshape(-1, trials, n).swapaxes(1, 2)
     starts = starts / np.linalg.norm(starts, ord=p, axis=-2, keepdims=True)
-    best = np.zeros((len(mats), n + trials))
-    is_complex = np.array([np.iscomplexobj(a) for a in mats], dtype=bool)
-    for rows in (np.flatnonzero(~is_complex), np.flatnonzero(is_complex)):
-        if rows.size == 0:
-            continue
-        b = (w[:, None] * np.stack([mats[k] for k in rows])) / w[None, :]
-        x = np.concatenate([np.broadcast_to(np.eye(n), (rows.size, n, n)), starts[rows]], axis=-1)
-        for step in range(30):
-            y = b @ x
-            gamma = np.linalg.norm(y, ord=p, axis=-2)
-            seen = best[rows]
-            grew = (gamma > seen + 1e-15 * np.maximum(seen, 1.0)).any(axis=-1)
-            best[rows] = np.maximum(seen, gamma)
-            if step == 29 or not grew.any():
-                break
-            rows, b, y = rows[grew], b[grew], y[grew]
-            direction = _dual_sign_power(b.conj().swapaxes(-1, -2) @ _dual_sign_power(y, p - 1.0),
-                                         q - 1.0)
-            scale = np.linalg.norm(direction, ord=p, axis=-2, keepdims=True)
-            x = direction / np.where(scale > 0.0, scale, 1.0)
+    best = np.zeros((rows.size, n + trials))
+    b = (w[:, None] * np.array(mats, dtype=complex).reshape(-1, n, n)) / w[None, :]
+    x = np.concatenate([np.broadcast_to(np.eye(n), (rows.size, n, n)), starts], axis=-1)
+    for step in range(30):
+        y = b @ x
+        gamma = np.linalg.norm(y, ord=p, axis=-2)
+        seen = best[rows]
+        grew = (gamma > seen + 1e-15 * np.maximum(seen, 1.0)).any(axis=-1)
+        best[rows] = np.maximum(seen, gamma)
+        if step == 29 or not grew.any():
+            break
+        rows, b, y = rows[grew], b[grew], y[grew]
+        direction = _dual_sign_power(b.conj().swapaxes(-1, -2) @ _dual_sign_power(y, p - 1.0),
+                                     q - 1.0)
+        scale = np.linalg.norm(direction, ord=p, axis=-2, keepdims=True)
+        x = direction / np.where(scale > 0.0, scale, 1.0)
     return best.max(axis=-1)
 
 
@@ -484,8 +477,8 @@ def multiplier_norm_bounds(dec: SpectralDecomposition, gvals, p: float,
     operator_norm_lower_bound on that row's matrix with the rows drawing
     in turn from one generator made from ``seed``.  The upper bound is
     Riesz-Thorin between 2 and the nearer endpoint e in {1, inf},
-    ``||T||_2^(1 - theta) ||T||_e^theta`` with ``theta = |2/p - 1|``.  A
-    row with no imaginary part gives a real matrix.
+    ``||T||_2^(1 - theta) ||T||_e^theta`` with ``theta = |2/p - 1|``.  Each
+    row's matrix is built from the row as given, complex for complex rows.
     """
     gvals = np.atleast_2d(gvals)
     p = float(p)
@@ -498,7 +491,7 @@ def multiplier_norm_bounds(dec: SpectralDecomposition, gvals, p: float,
         return exact, exact.copy()
     theta = abs(2.0 / p - 1.0)
     endpoint = 1.0 if p < 2.0 else math.inf
-    mats = [spectral_matrix(dec, g if np.any(g.imag) else g.real) for g in gvals]
+    mats = [spectral_matrix(dec, g) for g in gvals]
     lower = _boyd_block(dec.space, mats, p, trials, np.random.default_rng(seed))
     # one scalar pow per row: numpy's vectorised pow rounds differently
     upper = np.array([exact[k] ** (1.0 - theta) * operator_norm(dec.space, m, endpoint) ** theta

@@ -117,7 +117,7 @@ def decomposition_residual_by_parts(gen, z, field) -> float:
     """Bochner 2-norm of exp(-zL)F - A_t F - m_theta(tL)F, t = |z|, theta = arg z.
 
     Each term is its own multiplier call (evolve, ergodic_average,
-    apply_m_theta), as decomposition_residual computed it before the
+    apply_m_theta), as the decomposition residual was computed before the
     residuals of a generator were batched.  ``field`` is one Bochner field.
     """
     z = complex(z)

@@ -355,7 +355,7 @@ def test_main_hds_is_byte_deterministic(tmp_path):
     assert len(rows) == 2 * 2  # two members, one trial, scalar plus vector rows
 
 
-# Small runs of each command; mellin-table, bip-plan and full-suite read no ensemble keys.
+# Small runs of each command; mellin-table and bip-plan read no ensemble keys.
 _SMALL_RUNS = {"verify-semigroup": ["--n", "3", "--count", "2", "--trials", "1"],
                "modulus": ["--n", "3", "--count", "2", "--trials", "1"],
                "hds": ["--n", "3", "--count", "2", "--trials", "1"],
@@ -363,7 +363,8 @@ _SMALL_RUNS = {"verify-semigroup": ["--n", "3", "--count", "2", "--trials", "1"]
                "pointwise": ["--n", "3", "--count", "2"]}
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+# full-suite's two runs are test_acceptance_12_determinism's
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "full-suite"])
 def test_main_is_byte_deterministic(tmp_path, command):
     args = [command, *_SMALL_RUNS.get(command, [])]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0

@@ -185,7 +185,9 @@ def test_lp_norms_equal_lp_norm_row_by_row(p):
         sp = WeightedSpace(rng.uniform(0.1, 3.0, n))
         real = rng.standard_normal((6, n))
         complex_rows = real + 1j * rng.standard_normal((6, n))
-        for f in (real, complex_rows, complex_rows.reshape(2, 3, n)):
+        transposed = np.ascontiguousarray(complex_rows.T).T
+        sliced = rng.standard_normal((6, 2 * n))[:, ::2]
+        for f in (real, complex_rows, complex_rows.reshape(2, 3, n), transposed, sliced):
             got = lp_norms(sp, f, p)
             assert got.shape == f.shape[:-1]
             want = np.array([lp_norm(sp, row, p) for row in f.reshape(-1, n)])

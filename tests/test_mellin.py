@@ -36,7 +36,6 @@ from maxlab.mellin import (
     apply_m_theta,
     bip_plan,
     decay_constant,
-    decomposition_residual,
     decomposition_residuals,
     imaginary_power_estimate,
     m_theta,
@@ -312,11 +311,11 @@ def test_decomposition_residual_is_roundoff():
         values = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         field = BochnerField(values, BanachNormDescriptor(3, 2.0))
         for z in (0.7, 0.5 + 0.3j, 2.0 - 1.5j):
-            assert decomposition_residual(gen, z, field) <= 1e-10
+            assert decomposition_residuals(gen, [z], [field])[0] <= 1e-10
     with pytest.raises(ValueError):
-        decomposition_residual(gen, 0.0, field)
+        decomposition_residuals(gen, [0.0], [field])
     with pytest.raises(ValueError):
-        decomposition_residual(gen, -1.0 + 0.5j, field)
+        decomposition_residuals(gen, [-1.0 + 0.5j], [field])
 
 
 def _conservative_generator(n: int, seed: int) -> DiffusionGenerator:
@@ -364,18 +363,6 @@ def test_decomposition_residuals_match_the_per_term_oracle():
         assert np.all(got <= 1e-13 * scales)
 
 
-def test_a_batch_of_one_is_the_single_call():
-    gen = _conservative_generator(6, 8105)
-    rng = np.random.default_rng(82)
-    for z in _DECOMPOSITION_ZS:
-        for d in (1, 3):
-            field = BochnerField(rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d)),
-                                 BanachNormDescriptor(d, 2.0))
-            single = decomposition_residual(gen, z, field)
-            assert type(single) is float
-            assert decomposition_residuals(gen, [z], [field]).tolist() == [single]
-
-
 def test_decomposition_residual_refuses_z_off_the_open_right_half_plane():
     gen = random_generator(4, 8106)
     field = BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))
@@ -386,7 +373,7 @@ def test_decomposition_residual_refuses_z_off_the_open_right_half_plane():
                 (complex(math.nan, 0.0), "finite z"), (complex(1.0, math.inf), "finite z"))
     for z, message in refusals:
         with pytest.raises(ValueError, match=message):
-            decomposition_residual(gen, z, field)
+            decomposition_residuals(gen, [z], [field])
         # a bad z anywhere in a batch refuses the batch
         with pytest.raises(ValueError, match=message):
             decomposition_residuals(gen, [0.5, z, 1.0 + 1.0j], [field] * 3)
@@ -648,7 +635,7 @@ def test_other_field_functions_reject_a_list_of_fields_and_a_bare_array(kind, me
         lambda: ergodic_average(gen, 0.5, fields),
         lambda: apply_m_theta(gen, 0.2, 0.5, fields),
         lambda: apply_to_field(gen.decomposition, np.ones(4), fields),
-        lambda: decomposition_residual(gen, 0.5 + 0.1j, fields),
+        lambda: decomposition_residuals(gen, [0.5 + 0.1j], [fields]),
         lambda: pointwise_convergence_profile(gen, fields, 0.2),
         lambda: bochner_norm(gen.space, fields, 2.0),
     )

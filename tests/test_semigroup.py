@@ -25,6 +25,7 @@ from maxlab.semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
+    check_sector_angle,
     ensemble_diagnostics,
     evolve,
     exemplar_contraction_generator,
@@ -455,6 +456,12 @@ def test_stein_angle_values():
                                               abs=1e-15)
     with pytest.raises(ValueError):
         stein_angle(1.0)
+
+
+def test_check_sector_angle_refuses_a_nan_half_angle():
+    check_sector_angle(4.0, math.pi / 4.0)
+    with pytest.raises(ValueError, match="exceeds the contraction sector angle"):
+        check_sector_angle(4.0, math.nan)
 
 
 def test_sector_grid_structure():

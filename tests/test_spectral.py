@@ -571,6 +571,9 @@ def test_apply_multiplier_on_a_batch_equals_each_field_alone(d):
         assert out.shape == gvals.shape[:-1] + (8, 4, d)
         for j in range(4):
             assert np.array_equal(out[..., j, :], apply_multiplier(dec, gvals, batch[:, j]))
+        # a field in Fortran order, such as the transpose of a stack of fields
+        fortran = np.asfortranarray(batch[:, 0])
+        assert np.array_equal(out[..., 0, :], apply_multiplier(dec, gvals, fortran))
     with pytest.raises(ValueError):
         apply_multiplier(dec, family, np.ones((7, 4, d)))
 
@@ -935,23 +938,35 @@ def test_family_iteration_matches_the_one_matrix_oracle_row_by_row(monkeypatch, 
     endpoint = 1.0 if p < 2.0 else math.inf
     with np.errstate(divide="raise", invalid="raise"):
         for g, got_lower, got_upper in zip(rows, lower, upper):
-            m = spectral_matrix(dec, g if np.any(g.imag) else g.real)
+            m = spectral_matrix(dec, g)
             assert got_lower == operator_norm_lower_bound(dec.space, m, p, trials=trials,
                                                           seed=oracle)
             assert got_upper == np.abs(g).max() ** (1.0 - theta) \
                 * operator_norm(dec.space, m, endpoint) ** theta
     assert shared.random() == oracle.random()
     assert lower[1] == upper[1] == 0.0
-    # matrices still iterating at each step, two dual maps per step: the four
-    # real ones run first, then the two complex ones
+    # matrices still iterating at each step, two dual maps per step, all six
+    # in one block
     active = stacks[::2]
     if n == 6:
-        real, complex_ = active[:29], active[29:]
         # the zero matrix froze at the first step, the diagonal one soon after,
         # and a dense real and a dense complex matrix ran to the 30-step cap
-        assert real[0] == 3 and min(real) < 3 and len(complex_) == 29
-        for group in (real, complex_):
-            assert group == sorted(group, reverse=True) and group[-1] >= 1
+        assert active[0] == 5 and min(active) < 5 and len(active) == 29
+        assert active == sorted(active, reverse=True) and active[-1] >= 2
+
+
+@pytest.mark.parametrize("p", (1.5, 4.0))
+def test_a_real_matrix_row_equals_the_one_matrix_bound(p):
+    dec, rows = _mixed_family(6, 1909)
+    # the zero, real dense, diagonal and real dense rows, as real rows
+    real_rows = rows.real[[1, 2, 3, 5]]
+    shared, oracle = np.random.default_rng(12), np.random.default_rng(12)
+    lower, _ = multiplier_norm_bounds(dec, real_rows, p, trials=4, seed=shared)
+    for g, got in zip(real_rows, lower):
+        m = spectral_matrix(dec, g)
+        assert m.dtype == float
+        assert got == operator_norm_lower_bound(dec.space, m, p, trials=4, seed=oracle)
+    assert shared.random() == oracle.random()
 
 
 def test_norm_bounds_validate_rows():
