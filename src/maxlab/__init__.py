@@ -32,9 +32,7 @@ from .semigroup import (
     SectorGrid,
     build_ensemble,
     check_sector_angle,
-    evolve,
     exemplar_contraction_generator,
-    imaginary_power,
     random_generator,
     sector_angles,
     sector_contraction_probe,
@@ -42,14 +40,11 @@ from .semigroup import (
     stein_angle,
 )
 from .modulus import (
-    ModulusResult,
-    linear_modulus,
-    modulus_semigroup,
+    modulus_generator,
     subpositivity_suite,
     verify_domination,
 )
 from .ergodic import (
-    ergodic_average,
     hds_bound,
     hds_experiment,
     maximal_ergodic,
@@ -61,10 +56,8 @@ from .mellin import (
     decay_constant,
     decomposition_residuals,
     imaginary_power_estimate,
-    m_theta,
     maximal_theorem_experiment,
     mellin_reconstruct,
-    n_hat,
     n_hat_table,
     pointwise_convergence_profile,
     sector_maximal,
@@ -79,14 +72,12 @@ __all__ = [
     "complex_gamma", "decompose", "family_sup", "gamma_values", "multiplier_norm_bounds",
     "operator_norm", "operator_norm_lower_bound", "spectral_matrix",
     "ContractionSemigroupGenerator", "DiffusionGenerator", "EnsembleSpec",
-    "SectorGrid", "build_ensemble", "check_sector_angle", "evolve",
-    "exemplar_contraction_generator", "imaginary_power", "random_generator",
-    "sector_angles", "sector_contraction_probe", "semigroup_matrix", "stein_angle",
-    "ModulusResult", "linear_modulus", "modulus_semigroup", "subpositivity_suite",
-    "verify_domination",
-    "ergodic_average", "hds_bound", "hds_experiment", "maximal_ergodic",
-    "BipPlan", "BipPlanError", "bip_plan", "decay_constant",
-    "decomposition_residuals", "imaginary_power_estimate", "m_theta",
-    "maximal_theorem_experiment", "mellin_reconstruct", "n_hat", "n_hat_table",
-    "pointwise_convergence_profile", "sector_maximal", "truncation_bound",
+    "SectorGrid", "build_ensemble", "check_sector_angle", "exemplar_contraction_generator",
+    "random_generator", "sector_angles", "sector_contraction_probe", "semigroup_matrix",
+    "stein_angle",
+    "modulus_generator", "subpositivity_suite", "verify_domination",
+    "hds_bound", "hds_experiment", "maximal_ergodic",
+    "BipPlan", "BipPlanError", "bip_plan", "decay_constant", "decomposition_residuals",
+    "imaginary_power_estimate", "maximal_theorem_experiment", "mellin_reconstruct",
+    "n_hat_table", "pointwise_convergence_profile", "sector_maximal", "truncation_bound",
 ]

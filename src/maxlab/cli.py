@@ -54,11 +54,7 @@ from .mellin import (
     pointwise_convergence_profile,
     truncation_bound,
 )
-from .modulus import (
-    modulus_semigroup,
-    subpositivity_suite,
-    verify_domination,
-)
+from .modulus import modulus_generator, subpositivity_suite, verify_domination
 from .semigroup import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
@@ -369,14 +365,16 @@ def _cmd_verify_semigroup(config: ExperimentConfig):
 
 
 def _cmd_modulus(config: ExperimentConfig):
-    t_star, result, exemplar_err, deviation, passed = _modulus_exemplar()
-    exemplar_rows = [(t_star, exemplar_err, deviation, result.depth, result.residual)]
+    t_star, exemplar_err, deviation, passed = _modulus_exemplar()
+    exemplar_rows = [(t_star, exemplar_err, deviation)]
 
     members = build_ensemble(config.ensemble, config.seed)
     domination_rows = []
     suite_rows = []
+    reports = []
     for index, (member_seed, gen) in enumerate(members):
         report = verify_domination(gen, trials=config.trials, seed=member_seed + 1)
+        reports.append(report)
         passed = passed and report.passed
         domination_rows.append((index, member_seed, gen.n, report.max_violation,
                                 report.max_norm_excess, report.passed))
@@ -391,10 +389,12 @@ def _cmd_modulus(config: ExperimentConfig):
         suite_rows.append((index, member_seed, gen.n, t, suite.sup_margin,
                            suite.tensor_margin, suite.positivity_min, suite.passed))
     details = {"exemplar_error": exemplar_err, "exemplar_deviation": deviation,
-               **ensemble_diagnostics(members)}
+               **ensemble_diagnostics(members),
+               "modulus_generator": {
+                   "max_relative_eigen_residual": max(r.eigen_residual for r in reports),
+                   "max_orthonormality_defect": max(r.orthonormality_defect for r in reports)}}
     tables = {
-        "exemplar": (("t", "max_abs_error", "semigroup_deviation", "depth", "residual"),
-                     exemplar_rows),
+        "exemplar": (("t", "max_abs_error", "semigroup_deviation"), exemplar_rows),
         "domination": (("trial", "seed", "n", "max_violation", "max_norm_excess", "pass"),
                        domination_rows),
         "subpositivity": (("trial", "seed", "n", "t", "sup_margin", "tensor_margin",
@@ -627,23 +627,22 @@ def criterion_decay(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def _modulus_exemplar() -> tuple:
-    """The 2x2 exemplar at t* = log(2)/2: (t*, its ModulusResult, the max error against
-    [[3/4, 1/4], [1/4, 3/4]], the max deviation |S_{2t*} - S_{t*}^2|, and the verdict on
-    both), shared by `modulus` and criterion 06."""
-    gen = exemplar_contraction_generator()
+    """The 2x2 exemplar at t* = log(2)/2: (t*, the max error of S_{t*} = exp(-t* L_hat)
+    against [[3/4, 1/4], [1/4, 3/4]], the max deviation |S_{2t*} - S_{t*}^2|, and the
+    verdict on both), shared by `modulus` and criterion 06."""
+    hat = modulus_generator(exemplar_contraction_generator())
     t_star = 0.5 * math.log(2.0)
-    result = modulus_semigroup(gen, t_star)
+    s_matrix = semigroup_matrix(hat, t_star)
     expected = np.array([[0.75, 0.25], [0.25, 0.75]])
-    exemplar_err = float(np.abs(result.S_t - expected).max())
-    double = modulus_semigroup(gen, 2.0 * t_star)
-    deviation = float(np.abs(double.S_t - result.S_t @ result.S_t).max())
+    exemplar_err = float(np.abs(s_matrix - expected).max())
+    deviation = float(np.abs(semigroup_matrix(hat, 2.0 * t_star) - s_matrix @ s_matrix).max())
     passed = exemplar_err <= EXEMPLAR_TOL and deviation < EXEMPLAR_SEMIGROUP_TOL
-    return t_star, result, exemplar_err, deviation, passed
+    return t_star, exemplar_err, deviation, passed
 
 
 def criterion_modulus(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Exemplar modulus matrix, 500-trial domination, semigroup deviation."""
-    _, _, exemplar_err, deviation, exemplar_ok = _modulus_exemplar()
+    _, exemplar_err, deviation, exemplar_ok = _modulus_exemplar()
 
     rows = []
     worst_violation = -math.inf

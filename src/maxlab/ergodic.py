@@ -24,14 +24,13 @@ from .core import (
     random_field,
 )
 from .semigroup import EnsembleSpec, build_ensemble, ensemble_diagnostics
-from .spectral import apply_to_field, family_sup
+from .spectral import family_sup
 
 __all__ = [
     "ErgodicReport",
     "HdsResult",
     "DEFAULT_ERGODIC_T_GRID",
     "HDS_SLACK",
-    "ergodic_average",
     "maximal_ergodic",
     "hds_bound",
     "hds_experiment",
@@ -56,14 +55,6 @@ def _averaging_values(lam: np.ndarray, t) -> np.ndarray:
     nz = x != 0.0
     out[nz] = -np.expm1(-x[nz]) / x[nz]
     return out
-
-
-def ergodic_average(gen, t: float, f):
-    """Closed-form time average (1/t) int_0^t exp(-s L) f ds of a Bochner field."""
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"averaging time must be positive and finite, got {t}")
-    return apply_to_field(gen.decomposition, _averaging_values(gen.decomposition.eigenvalues, t), f)
 
 
 def maximal_ergodic(gen, f, t_grid=None) -> np.ndarray:

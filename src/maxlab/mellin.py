@@ -44,7 +44,6 @@ from .semigroup import (
 )
 from .spectral import (
     apply_multiplier,
-    apply_to_field,
     family_sup,
     gamma_values,
     multiplier_norm_bounds,
@@ -57,11 +56,8 @@ __all__ = [
     "DecayCertificate",
     "ConvergenceProfile",
     "MaximalReport",
-    "m_theta",
-    "n_hat",
     "n_hat_table",
     "decay_constant",
-    "apply_m_theta",
     "m_theta_maximal",
     "mellin_reconstruct",
     "truncation_bound",
@@ -173,17 +169,6 @@ def _m_theta_values(theta, lam) -> np.ndarray:
     return np.exp(-(np.cos(theta) + 1j * np.sin(theta)) * lam) + -_averaging_values(lam, 1.0)
 
 
-def m_theta(theta: float, lam: float) -> complex:
-    """Multiplier exp(-e^{i theta} lambda) - (1 - e^{-lambda})/lambda, 0 at lambda = 0."""
-    theta = float(theta)
-    if not abs(theta) < math.pi / 2.0:
-        raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"multiplier argument must be nonnegative, got {lam}")
-    return complex(_m_theta_values(theta, np.asarray([lam]))[0])
-
-
 def _n_hat_values(theta, u: np.ndarray) -> np.ndarray:
     """Vectorised n_hat_theta, of shape ``theta.shape + u.shape``.
 
@@ -213,11 +198,6 @@ def _n_hat_values(theta, u: np.ndarray) -> np.ndarray:
         if unz.size:
             row[~zero] = -(np.expm1(-angle * unz) / iu + pole) * gamma
     return out
-
-
-def n_hat(theta: float, u: float) -> complex:
-    """Fourier dual of the multiplier; the removable singularity at u = 0 is -(1 + i theta)."""
-    return complex(_n_hat_values(float(theta), np.asarray([float(u)]))[0])
 
 
 def n_hat_table(thetas, us) -> tuple[np.ndarray, np.ndarray]:
@@ -261,22 +241,6 @@ def decay_constant(psi: float, u_grid=None, n_theta: int = 9) -> DecayCertificat
     return DecayCertificate(psi=psi, constant=coarse, refined_constant=fine,
                             rel_change=float(rel_change),
                             stable=bool(rel_change < DECAY_STABLE_REL))
-
-
-def apply_m_theta(gen, theta: float, t: float, field):
-    """m_theta(t L) on a Bochner field, via the direct formula.
-
-    The direct formula is defined on the whole spectrum including the
-    kernel (m_theta(0) = 0), so no Mellin representation is involved here.
-    """
-    theta = float(theta)
-    if not abs(theta) < math.pi / 2.0:
-        raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be positive and finite, got {t}")
-    gvals = _m_theta_values(theta, t * gen.decomposition.eigenvalues)
-    return apply_to_field(gen.decomposition, gvals, field)
 
 
 def m_theta_maximal(gen, field, grid: SectorGrid) -> np.ndarray:
@@ -354,8 +318,7 @@ def decomposition_residuals(gen, zs, fields) -> np.ndarray:
     t and theta taken per z by Python's abs and math.atan2 (numpy's round
     differently); then each field gets its three rows in one
     apply_multiplier call.  Each residual is bit for bit that of applying
-    the three terms one at a time (evolve, ergodic_average and
-    apply_m_theta).
+    the three terms one at a time, the test-suite's route.
     """
     zs = [complex(z) for z in zs]
     fields = list(fields)

@@ -1,12 +1,13 @@
-"""Linear modulus and the dyadic construction of the modulus semigroup.
+"""The modulus semigroup in closed form, and the domination and subpositivity checks.
 
-The linear modulus of a matrix operator on a finite weighted space is the
-entrywise absolute value; it shares the weighted endpoint norms of the
-operator and dominates it pointwise.  Multiplying the moduli of 2^m equal
-evolution steps of [0, t] and refining dyadically produces the smallest
-positive semigroup dominating the original one.  Only the uniform dyadic
-chain is enumerated; the distance to the directed-set supremum is
-monitored through the stabilisation residual.
+The modulus semigroup of a contraction semigroup exp(-tL) is the least
+positive semigroup above it.  On a finite weighted space it is
+exp(-t L_hat), where L_hat keeps the diagonal of L and puts -|L_ij| off
+it: L_hat is mu-symmetric with nonpositive off-diagonal entries and keeps
+the diagonal dominance of L, so it is a diffusion generator and the
+spectral kernel evaluates its semigroup exactly.  The dyadic chain of
+products of increment moduli, which tends to the same limit at rate
+2^{-m}, is kept in the test-suite as the oracle of this route.
 """
 
 from __future__ import annotations
@@ -24,50 +25,36 @@ from .core import (
     fiber_norm,
     lp_norms,
 )
-from .semigroup import ContractionSemigroupGenerator, semigroup_matrix
+from .semigroup import ContractionSemigroupGenerator, DiffusionGenerator, semigroup_matrix
+from .spectral import MuSymmetricOperator, eigen_residual, orthonormality_defect
 
 __all__ = [
-    "ModulusResult",
-    "StabilizationError",
     "DominationReport",
     "SubpositivityReport",
-    "linear_modulus",
-    "modulus_semigroup",
+    "modulus_generator",
     "verify_domination",
     "subpositivity_suite",
 ]
-
-# Dyadic refinement stops once consecutive levels differ by less than
-# MODULUS_STAB_TOL in the max norm, and gives up after MODULUS_LEVEL_CAP levels.
-MODULUS_STAB_TOL = 1e-8
-MODULUS_LEVEL_CAP = 20
 
 # Times of verify_domination and angles of the positivity test in subpositivity_suite.
 DOMINATION_T_GRID = np.geomspace(1e-2, 1e1, 4)
 SUBPOSITIVITY_THETAS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
 
-class StabilizationError(RuntimeError):
-    """Dyadic refinement failed to stabilise within the level cap."""
-
-
-@dataclass(frozen=True)
-class ModulusResult:
-    """Stabilised dyadic limit matrix with its level and last increment."""
-
-    S_t: np.ndarray
-    depth: int
-    residual: float
-
-
 @dataclass(frozen=True)
 class DominationReport:
-    """Outcome of the pointwise domination check |T_t f| <= S_t |f|."""
+    """Outcome of the pointwise domination check |T_t f| <= S_t |f|.
+
+    ``eigen_residual`` and ``orthonormality_defect`` are those of the
+    decomposition of L_hat that S_t comes from.
+    """
 
     passed: bool
     max_violation: float
     max_norm_excess: float
     checked: int
+    eigen_residual: float
+    orthonormality_defect: float
 
 
 @dataclass(frozen=True)
@@ -83,52 +70,19 @@ class SubpositivityReport:
     positivity_passed: bool
 
 
-def linear_modulus(space: WeightedSpace, t_matrix: np.ndarray) -> np.ndarray:
-    """Entrywise absolute value: the linear modulus of the operator.
-
-    It has the same weighted operator norm as the operator at p = 1 and
-    p = infinity and dominates it: |T f| <= |T| |f| entrywise.
-    """
-    t_matrix = np.asarray(t_matrix)
-    n = space.n
-    if t_matrix.shape != (n, n):
-        raise ValueError(f"matrix must have shape ({n}, {n}), got {t_matrix.shape}")
-    return np.abs(t_matrix)
-
-
-def modulus_semigroup(gen: ContractionSemigroupGenerator, t: float) -> ModulusResult:
-    """Dyadic-limit modulus semigroup matrix at time t.
-
-    Level m is the product of the moduli of the 2^m equal increments of
-    [0, t], that is the 2^m-th power of the modulus of one increment step
-    (computed by repeated squaring).  Iteration stops when consecutive
-    levels differ by less than MODULUS_STAB_TOL in the max norm.  The limit
-    is exp(-t L_hat), where L_hat keeps the diagonal of L and replaces each
-    off-diagonal entry by minus its absolute value.
-    """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be positive and finite, got {t}")
-    prev = linear_modulus(gen.space, semigroup_matrix(gen, t))
-    residual = math.inf
-    for level in range(1, MODULUS_LEVEL_CAP + 1):
-        step = linear_modulus(gen.space, semigroup_matrix(gen, t / 2.0**level))
-        current = step
-        for _ in range(level):
-            current = current @ current
-        residual = float(np.abs(current - prev).max())
-        if residual < MODULUS_STAB_TOL:
-            return ModulusResult(S_t=current, depth=level, residual=residual)
-        prev = current
-    raise StabilizationError(
-        f"dyadic refinement did not stabilise below {MODULUS_STAB_TOL:.3e} within "
-        f"{MODULUS_LEVEL_CAP} levels (last increment {residual:.3e})"
-    )
+def modulus_generator(gen: ContractionSemigroupGenerator) -> DiffusionGenerator:
+    """L_hat, the generator of the modulus semigroup: the diagonal of L, -|L_ij| off it."""
+    ell = gen.matrix.copy()
+    off = ~np.eye(gen.n, dtype=bool)
+    ell[off] = -np.abs(ell[off])
+    return DiffusionGenerator(MuSymmetricOperator(gen.space, ell))
 
 
 def verify_domination(gen: ContractionSemigroupGenerator, trials: int = 20,
                       seed: int = 0) -> DominationReport:
     """Check |e^{-tL} f| <= S_t |f| entrywise for seeded complex fields at DOMINATION_T_GRID.
 
+    S_t is exp(-t L_hat), from one decomposition of modulus_generator(gen).
     Fields are normalised to unit sup norm so the comparison tolerance is
     scale-free.  The L^p transfer of the domination (p in {1.5, 2, 3}) is
     checked alongside.  The ``trials`` fields of one t are one (trials, n)
@@ -137,12 +91,13 @@ def verify_domination(gen: ContractionSemigroupGenerator, trials: int = 20,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    hat = modulus_generator(gen)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     worst_norm = -math.inf
     for t in DOMINATION_T_GRID:
         t_matrix = semigroup_matrix(gen, t)
-        s_matrix = modulus_semigroup(gen, t).S_t
+        s_matrix = semigroup_matrix(hat, t)
         f = _gaussian_batch(rng, trials, (gen.n,))
         f /= np.abs(f).max(axis=1, keepdims=True)
         moved = (t_matrix @ f[:, :, None])[..., 0]
@@ -154,7 +109,9 @@ def verify_domination(gen: ContractionSemigroupGenerator, trials: int = 20,
     passed = worst <= ABS_TOL and worst_norm <= ABS_TOL
     return DominationReport(passed=bool(passed), max_violation=float(worst),
                             max_norm_excess=float(worst_norm),
-                            checked=trials * DOMINATION_T_GRID.size)
+                            checked=trials * DOMINATION_T_GRID.size,
+                            eigen_residual=eigen_residual(hat.operator, hat.decomposition),
+                            orthonormality_defect=orthonormality_defect(hat.decomposition))
 
 
 def _worst_margin(space: WeightedSpace, lhs: np.ndarray, rhs: np.ndarray, p: float) -> float:

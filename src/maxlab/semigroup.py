@@ -10,8 +10,9 @@ unchanged but flips off-diagonal signs).  Construction checks the
 endpoint contraction property exactly, by weak diagonal dominance, and
 keeps its relative margin as ``dominance_margin``.
 
-Holomorphic evolution ``exp(-z L)``, imaginary powers ``L^(iu)`` and the
-sector geometry used by the probes all live here.
+The matrix of the holomorphic evolution ``exp(-z L)``, the multiplier
+values of the imaginary powers ``L^(iu)`` and the sector geometry used by
+the probes all live here.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import ABS_TOL, WeightedSpace
 from .spectral import (
     MuSymmetricOperator,
     SpectralDecomposition,
-    apply_to_field,
     decompose,
     eigen_residual,
     multiplier_norm_bounds,
@@ -47,8 +47,6 @@ __all__ = [
     "ensemble_diagnostics",
     "exemplar_contraction_generator",
     "semigroup_matrix",
-    "evolve",
-    "imaginary_power",
     "stein_angle",
     "check_sector_angle",
     "sector_status",
@@ -319,14 +317,6 @@ def semigroup_matrix(gen, z) -> np.ndarray:
     return spectral_matrix(gen.decomposition, np.exp(-z * lam))
 
 
-def evolve(gen, z, f):
-    """Apply exp(-z L) columnwise to a Bochner field; needs Re z >= 0."""
-    z = complex(z)
-    if z.real < 0.0:
-        raise ValueError(f"evolution requires Re z >= 0, got z = {z}")
-    return apply_to_field(gen.decomposition, np.exp(-z * gen.decomposition.eigenvalues), f)
-
-
 def _imaginary_power_values(lam: np.ndarray, u) -> np.ndarray:
     """lambda^(iu) on the snapped spectrum, with the kernel convention 0^(iu) := 1.
 
@@ -337,12 +327,6 @@ def _imaginary_power_values(lam: np.ndarray, u) -> np.ndarray:
     pos = lam > 0.0
     out[..., pos] = np.exp(np.multiply.outer(1j * u, np.log(lam[pos])))
     return out
-
-
-def imaginary_power(gen, u: float, f):
-    """Apply L^(iu) to a Bochner field; an isometry of weighted L^2."""
-    gvals = _imaginary_power_values(gen.decomposition.eigenvalues, float(u))
-    return apply_to_field(gen.decomposition, gvals, f)
 
 
 def stein_angle(p: float) -> float:

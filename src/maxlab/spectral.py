@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ABS_TOL, WeightedSpace, _gaussian_batch, field_parts
+from .core import ABS_TOL, WeightedSpace, _gaussian_batch
 
 __all__ = [
     "MuSymmetricOperator",
@@ -46,7 +46,6 @@ __all__ = [
     "eigen_residual",
     "orthonormality_defect",
     "apply_multiplier",
-    "apply_to_field",
     "family_sup",
     "spectral_matrix",
     "complex_gamma",
@@ -232,12 +231,6 @@ def apply_multiplier(dec: SpectralDecomposition, gvals, values) -> np.ndarray:
     planes = _product(dec, gvals, coeff)
     out = np.ascontiguousarray(planes.swapaxes(-1, -2)).view(np.result_type(gvals, coeff))
     return out.reshape(gvals.shape[:-1] + values.shape)
-
-
-def apply_to_field(dec: SpectralDecomposition, gvals, f):
-    """apply_multiplier with one row on a Bochner field; returns a field of the same descriptor."""
-    values, _ = field_parts(dec.space, f)
-    return f.replace_values(apply_multiplier(dec, gvals, values))
 
 
 def family_sup(dec: SpectralDecomposition, gvals, values, r) -> np.ndarray:

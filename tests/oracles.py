@@ -1,17 +1,21 @@
 """Reference constructions that only the tests use.
 
 ``scalar_field`` builds the tests' scalar fields, the Bochner fields of
-fiber dimension d = 1.  Most of the rest are a second route to a
-quantity that `maxlab` computes another way: the modulus generator to
-the dyadic modulus semigroup, the product of increment moduli to its
-repeated squaring, the dense L^(iu) matrix to the spectral calculus on
-fields, a complex matrix product with V cast to complex to the
-multiplier kernel's real product on the float view, the three terms of
-the sector decomposition applied one at a time to its batched
-residuals, and the per-trial and per-angle loops that the modulus
-checks and the Mellin quadrature table replaced with one array pass.
-The grid refinements check that grid suprema never decrease as nodes
-are added.
+fiber dimension d = 1.  The field maps (evolve, imaginary_power,
+ergodic_average, apply_m_theta, each through apply_to_field) and the
+scalar multipliers m_theta and n_hat apply one multiplier or take one
+value at a time; the library computes the same quantities in batches.
+Most of the rest are a second route to a quantity that `maxlab`
+computes another way: the dyadic chain of increment moduli to the closed
+form exp(-t L_hat) of the modulus semigroup, the product of increment
+moduli to the chain's repeated squaring, the dense L^(iu) matrix to the
+spectral calculus on fields, a complex matrix product with V cast to
+complex to the multiplier kernel's real product on the float view, the
+three terms of the sector decomposition applied one at a time to its
+batched residuals, and the per-trial and per-angle loops that the
+modulus checks and the Mellin quadrature table replaced with one array
+pass.  The grid refinements check that grid suprema never decrease as
+nodes are added.
 """
 
 import math
@@ -23,20 +27,26 @@ from maxlab.core import (
     BanachNormDescriptor,
     BochnerField,
     bochner_norm,
+    field_parts,
     lp_norm,
     random_field,
 )
-from maxlab.ergodic import ergodic_average
-from maxlab.mellin import apply_m_theta, m_theta, mellin_reconstruct
+from maxlab.ergodic import _averaging_values
+from maxlab.mellin import _m_theta_values, _n_hat_values, mellin_reconstruct
 from maxlab.modulus import (
     DOMINATION_T_GRID,
     SUBPOSITIVITY_THETAS,
     DominationReport,
     SubpositivityReport,
-    modulus_semigroup,
+    modulus_generator,
 )
-from maxlab.semigroup import DiffusionGenerator, SectorGrid, evolve, semigroup_matrix
-from maxlab.spectral import MuSymmetricOperator, spectral_matrix
+from maxlab.semigroup import SectorGrid, _imaginary_power_values, semigroup_matrix
+from maxlab.spectral import (
+    apply_multiplier,
+    eigen_residual,
+    orthonormality_defect,
+    spectral_matrix,
+)
 
 
 def scalar_field(values) -> BochnerField:
@@ -44,17 +54,76 @@ def scalar_field(values) -> BochnerField:
     return BochnerField(np.asarray(values)[:, None], BanachNormDescriptor(1, 2.0))
 
 
-def modulus_generator(gen) -> DiffusionGenerator:
-    """Diffusion generator of the modulus semigroup.
+def apply_to_field(dec, gvals, f) -> BochnerField:
+    """apply_multiplier with one row on a Bochner field; returns a field of the same descriptor."""
+    values, _ = field_parts(dec.space, f)
+    return f.replace_values(apply_multiplier(dec, gvals, values))
 
-    Keeps the diagonal of L and replaces every off-diagonal entry by minus
-    its absolute value; the dyadic construction stabilises on the
-    semigroup of this generator.
+
+def evolve(gen, z, f) -> BochnerField:
+    """Apply exp(-z L) columnwise to a Bochner field; needs Re z >= 0."""
+    z = complex(z)
+    if z.real < 0.0:
+        raise ValueError(f"evolution requires Re z >= 0, got z = {z}")
+    return apply_to_field(gen.decomposition, np.exp(-z * gen.decomposition.eigenvalues), f)
+
+
+def imaginary_power(gen, u: float, f) -> BochnerField:
+    """Apply L^(iu) to a Bochner field; an isometry of weighted L^2."""
+    gvals = _imaginary_power_values(gen.decomposition.eigenvalues, float(u))
+    return apply_to_field(gen.decomposition, gvals, f)
+
+
+def ergodic_average(gen, t: float, f) -> BochnerField:
+    """Closed-form time average (1/t) int_0^t exp(-s L) f ds of a Bochner field."""
+    t = float(t)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"averaging time must be positive and finite, got {t}")
+    return apply_to_field(gen.decomposition, _averaging_values(gen.decomposition.eigenvalues, t), f)
+
+
+def m_theta(theta: float, lam: float) -> complex:
+    """Multiplier exp(-e^{i theta} lambda) - (1 - e^{-lambda})/lambda, 0 at lambda = 0."""
+    theta = float(theta)
+    if not abs(theta) < math.pi / 2.0:
+        raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
+    lam = float(lam)
+    if lam < 0.0:
+        raise ValueError(f"multiplier argument must be nonnegative, got {lam}")
+    return complex(_m_theta_values(theta, np.asarray([lam]))[0])
+
+
+def n_hat(theta: float, u: float) -> complex:
+    """Fourier dual of the multiplier; the removable singularity at u = 0 is -(1 + i theta)."""
+    return complex(_n_hat_values(float(theta), np.asarray([float(u)]))[0])
+
+
+def apply_m_theta(gen, theta: float, t: float, field) -> BochnerField:
+    """m_theta(t L) on a Bochner field, via the direct formula.
+
+    The direct formula is defined on the whole spectrum including the
+    kernel (m_theta(0) = 0), so no Mellin representation is involved here.
     """
-    ell = gen.matrix.copy()
-    off = ~np.eye(gen.n, dtype=bool)
-    ell[off] = -np.abs(ell[off])
-    return DiffusionGenerator(MuSymmetricOperator(gen.space, ell))
+    theta = float(theta)
+    if not abs(theta) < math.pi / 2.0:
+        raise ValueError(f"multiplier angle must satisfy |theta| < pi/2, got {theta}")
+    t = float(t)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"time must be positive and finite, got {t}")
+    gvals = _m_theta_values(theta, t * gen.decomposition.eigenvalues)
+    return apply_to_field(gen.decomposition, gvals, field)
+
+
+def dyadic_modulus_semigroup(gen, t: float, level: int) -> np.ndarray:
+    """Level ``level`` of the dyadic chain: |exp(-dt L)|^(2^level), dt = t / 2^level.
+
+    The power is taken by ``level`` squarings.  The levels rise entrywise
+    and tend to exp(-t L_hat) at rate 2^(-level); no stopping rule is applied.
+    """
+    out = np.abs(semigroup_matrix(gen, t / 2.0**level))
+    for _ in range(level):
+        out = out @ out
+    return out
 
 
 def dyadic_modulus_product(gen, t: float, level: int, f) -> np.ndarray:
@@ -135,13 +204,14 @@ def verify_domination_by_trial(gen, trials: int = 20, seed: int = 0) -> Dominati
     Each field is two draws, real then imaginary parts, T and S act by
     ``T @ f`` and every norm is one lp_norm call.
     """
+    hat = modulus_generator(gen)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     worst_norm = -math.inf
     checked = 0
     for t in DOMINATION_T_GRID:
         t_matrix = semigroup_matrix(gen, t)
-        s_matrix = modulus_semigroup(gen, t).S_t
+        s_matrix = semigroup_matrix(hat, t)
         for _ in range(trials):
             f = rng.standard_normal(gen.n) + 1j * rng.standard_normal(gen.n)
             f /= np.abs(f).max()
@@ -154,7 +224,9 @@ def verify_domination_by_trial(gen, trials: int = 20, seed: int = 0) -> Dominati
             checked += 1
     passed = worst <= ABS_TOL and worst_norm <= ABS_TOL
     return DominationReport(passed=bool(passed), max_violation=float(worst),
-                            max_norm_excess=float(worst_norm), checked=checked)
+                            max_norm_excess=float(worst_norm), checked=checked,
+                            eigen_residual=eigen_residual(hat.operator, hat.decomposition),
+                            orthonormality_defect=orthonormality_defect(hat.decomposition))
 
 
 def subpositivity_suite_by_trial(space, t_matrix, s_matrix, p: float, descriptor,

@@ -607,12 +607,16 @@ def test_eigen_residual_lands_in_the_manifest_only(tmp_path, command, flags):
     details = json.loads((tmp_path / f"{command}.manifest.json").read_text())["details"]
     assert 0.0 < details["max_relative_eigen_residual"] < 1e-13
     assert 0.0 <= details["max_orthonormality_defect"] < 1e-13
+    if command == "modulus":
+        # and those of the L_hat decompositions that S_t comes from
+        hat = details["modulus_generator"]
+        assert 0.0 <= hat["max_relative_eigen_residual"] < 1e-13
+        assert 0.0 <= hat["max_orthonormality_defect"] < 1e-13
+        header = (tmp_path / "modulus.exemplar.csv").read_text().splitlines()[0]
+        assert header == "t,max_abs_error,semigroup_deviation"
     paths = list(tmp_path.glob(f"{command}.*.csv"))
     assert paths and not any("eigen" in path.read_text() or "orthonormal" in path.read_text()
-                             for path in paths)
-    # only the modulus exemplar table has a residual column of its own
-    assert not any("residual" in path.read_text() for path in paths
-                   if path.name != "modulus.exemplar.csv")
+                             or "residual" in path.read_text() for path in paths)
 
 
 def _verify_semigroup_rows(tmp_path, *flags):

@@ -41,12 +41,13 @@ def test_weighted_space_mass_is_readonly():
 
 
 def test_verdict_slacks_are_fixed_constants():
-    from maxlab.cli import QUAD_TOL
-    from maxlab.modulus import MODULUS_STAB_TOL
+    from maxlab.cli import EXEMPLAR_SEMIGROUP_TOL, EXEMPLAR_TOL, QUAD_TOL, SLOPE_WINDOW
 
     assert ABS_TOL == 1e-10
     assert QUAD_TOL == 1e-6
-    assert MODULUS_STAB_TOL == 1e-8
+    assert EXEMPLAR_TOL == 1e-8
+    assert EXEMPLAR_SEMIGROUP_TOL == 1e-6
+    assert SLOPE_WINDOW == (0.8, 1.2)
 
 
 def test_lp_norm_frozen_values():

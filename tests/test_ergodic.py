@@ -8,15 +8,15 @@ import pytest
 from maxlab.core import BanachNormDescriptor, BochnerField, WeightedSpace, bochner_norm, fiber_norm, \
     lp_norm
 from maxlab.spectral import MuSymmetricOperator
-from maxlab.semigroup import DiffusionGenerator, EnsembleSpec, build_ensemble, evolve, random_generator
+from maxlab.semigroup import DiffusionGenerator, EnsembleSpec, build_ensemble, random_generator
 from maxlab.ergodic import (
     DEFAULT_ERGODIC_T_GRID,
-    ergodic_average,
     hds_bound,
     hds_experiment,
     maximal_ergodic,
 )
-from oracles import modulus_generator, scalar_field, time_grid
+from maxlab.modulus import modulus_generator
+from oracles import ergodic_average, evolve, scalar_field, time_grid
 
 
 def test_ergodic_average_against_midpoint_riemann_sum():

@@ -1,8 +1,10 @@
 """The runtime imports only the standard library, numpy and maxlab itself,
 every name a module exports is defined, only spectral.py reaches the two
-halves of the multiplier kernel, whose one entry is apply_multiplier, and
+halves of the multiplier kernel, whose one entry is apply_multiplier,
 only core.py asks whether a value is a BochnerField, so that fields are
-validated in one place, field_parts."""
+validated in one place, field_parts, and every public top-level function
+has a caller in the package, so that code only the tests use lives in
+tests/oracles.py."""
 
 import ast
 import importlib
@@ -112,3 +114,36 @@ def test_check_flags_an_isinstance_on_bochner_field():
                      "isinstance(f, (list, BochnerField))\nisinstance(f, list)\n"
                      "BochnerField(values, norm)\n")
     assert _bochner_isinstance_calls(tree) == [1, 2, 3]
+
+
+# Public top-level functions that may have no caller in the package:
+# perfbench/test_perfbench.py imports operator_norm_lower_bound from maxlab.
+UNCALLED_ALLOWED = {"operator_norm_lower_bound"}
+
+
+def _uncalled(trees):
+    """Public top-level functions of the modules that no module names or reaches as an attribute."""
+    defined, referenced = set(), set()
+    for tree in trees:
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(defined - referenced)
+
+
+def test_every_public_function_has_a_caller_in_src():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    uncalled = sorted(set(_uncalled(trees)) - UNCALLED_ALLOWED)
+    assert not uncalled, f"no module of maxlab calls {uncalled}; move them to tests/oracles.py"
+
+
+def test_check_flags_a_function_only_the_tests_call():
+    trees = [ast.parse("def used():\n    pass\n\ndef orphan():\n    pass\n\n"
+                       "def _private():\n    pass\n\ndef method_caller(gen):\n    pass\n"),
+             ast.parse("from .a import orphan, used\n__all__ = ['orphan']\n"
+                       "x = used()\ny = module.method_caller\n")]
+    assert _uncalled(trees) == ["orphan"]

@@ -27,30 +27,33 @@ from maxlab.semigroup import (
     EnsembleSpec,
     SectorGrid,
     build_ensemble,
-    evolve,
     random_generator,
     stein_angle,
 )
 from maxlab.mellin import (
     BipPlanError,
-    apply_m_theta,
     bip_plan,
     decay_constant,
     decomposition_residuals,
     imaginary_power_estimate,
-    m_theta,
     m_theta_maximal,
     maximal_theorem_experiment,
     mellin_reconstruct,
-    n_hat,
     n_hat_table,
     pointwise_convergence_profile,
     sector_maximal,
     truncation_bound,
 )
 from oracles import (
+    apply_m_theta,
+    apply_to_field,
     decomposition_residual_by_parts,
+    ergodic_average,
+    evolve,
+    imaginary_power,
     imaginary_power_matrix,
+    m_theta,
+    n_hat,
     refine_sector_grid,
     scalar_field,
 )
@@ -622,10 +625,6 @@ def test_maximal_functions_reject_bad_batches():
 def test_other_field_functions_reject_a_list_of_fields_and_a_bare_array(kind, message):
     # a field is a BochnerField: neither a list of them nor a bare (n,) array,
     # the scalar field of d = 1 written without its fiber axis
-    from maxlab.ergodic import ergodic_average
-    from maxlab.semigroup import imaginary_power
-    from maxlab.spectral import apply_to_field
-
     gen = random_generator(4, 2500)
     field = BochnerField(np.ones((4, 2)), BanachNormDescriptor(2, 2.0))
     fields = [field, field] if kind == "list" else np.ones(4, dtype=complex)

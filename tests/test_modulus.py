@@ -1,10 +1,9 @@
-"""Tests for the dyadic modulus construction and domination checks."""
+"""Tests for the modulus semigroup in closed form, its dyadic oracle and the domination checks."""
 
 import math
 
 import numpy as np
 import pytest
-from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from maxlab.core import BanachNormDescriptor, WeightedSpace
@@ -16,48 +15,110 @@ from maxlab.semigroup import (
     semigroup_matrix,
 )
 from maxlab.modulus import (
-    StabilizationError,
-    linear_modulus,
-    modulus_semigroup,
+    modulus_generator,
     subpositivity_suite,
     verify_domination,
 )
 from oracles import (
     dyadic_modulus_product,
-    modulus_generator,
+    dyadic_modulus_semigroup,
     positivity_min_by_angle,
     subpositivity_suite_by_trial,
     verify_domination_by_trial,
 )
 
-
-def test_linear_modulus_is_entrywise_absolute_value():
-    sp = WeightedSpace(np.array([1.0, 2.0, 0.5]))
-    t = np.array([[0.5, -0.25, 0.0], [0.1, -0.2, 0.3], [-0.4, 0.0, 0.6]])
-    np.testing.assert_array_equal(linear_modulus(sp, t), np.abs(t))
-    with pytest.raises(ValueError):
-        linear_modulus(sp, np.eye(2))
+TIMES = (0.01, 0.1, 1.0, 10.0)
 
 
-def test_linear_modulus_domination_is_attained():
-    # choosing f_j = sign(T_ij) g_j makes row i of |T f| equal (|T| g)_i
-    rng = np.random.default_rng(3)
-    sp = WeightedSpace(np.ones(4))
-    t = rng.standard_normal((4, 4))
-    g = rng.uniform(0.5, 1.5, 4)
-    m = linear_modulus(sp, t)
-    for i in range(4):
-        f = np.sign(t[i]) * g
-        assert abs(np.abs(t @ f)[i] - (m @ g)[i]) <= 1e-14
+def _frustrated(n: int, seed: int) -> ContractionSemigroupGenerator:
+    """A diffusion draw D with symmetric random off-diagonal signs: signs o D, frustrated.
+
+    The signs keep D's moduli, so its mu-symmetry and diagonal dominance, but
+    (unlike the conjugations of random_generator) not the modulus semigroup:
+    exp(-t L_hat) lies strictly above |exp(-t L)|.
+    """
+    diffusion = random_generator(n, seed, kind="diffusion")
+    rng = np.random.default_rng(seed)
+    signs = np.triu(rng.choice([-1.0, 1.0], size=(n, n)), 1)
+    signs = signs + signs.T + np.eye(n)
+    return ContractionSemigroupGenerator(MuSymmetricOperator(diffusion.space,
+                                                             signs * diffusion.matrix))
 
 
-def test_dyadic_product_matches_power_of_step_modulus():
+FRUSTRATED = [_frustrated(6, 7000 + index) for index in range(10)]
+
+
+def test_closed_form_matches_expm_on_frustrated_signs():
+    for gen in FRUSTRATED:
+        hat = modulus_generator(gen)
+        for t in TIMES:
+            np.testing.assert_allclose(semigroup_matrix(hat, t), expm(-t * hat.matrix),
+                                       rtol=0.0, atol=1e-12)
+
+
+def test_dyadic_oracle_rises_and_halves_its_error_per_level():
+    # the chain tends to exp(-t L_hat) from below at rate 2^-m: each level about halves the gap
+    for gen in FRUSTRATED:
+        limit = semigroup_matrix(modulus_generator(gen), 0.01)
+        prev = dyadic_modulus_semigroup(gen, 0.01, 0)
+        prev_err = float(np.abs(prev - limit).max())
+        for level in range(1, 9):
+            cur = dyadic_modulus_semigroup(gen, 0.01, level)
+            assert np.all(cur >= prev - 1e-15)
+            err = float(np.abs(cur - limit).max())
+            assert 1.9 < prev_err / err < 2.1
+            prev, prev_err = cur, err
+
+
+def test_closed_form_lies_strictly_above_the_modulus_of_t():
+    for gen in FRUSTRATED:
+        hat = modulus_generator(gen)
+        for t in TIMES:
+            gap = semigroup_matrix(hat, t) - np.abs(semigroup_matrix(gen, t))
+            assert gap.min() >= -1e-14
+            if t == 1.0:
+                assert gap.max() > 1e-6
+
+
+def test_closed_form_is_a_semigroup():
+    for gen in FRUSTRATED:
+        hat = modulus_generator(gen)
+        for s, t in ((0.01, 0.1), (0.1, 1.0), (1.0, 10.0), (0.3, 0.3)):
+            np.testing.assert_allclose(semigroup_matrix(hat, s + t),
+                                       semigroup_matrix(hat, s) @ semigroup_matrix(hat, t),
+                                       rtol=0.0, atol=1e-13)
+
+
+def test_closed_form_is_the_modulus_of_t_under_sign_conjugation():
+    # contraction draws conjugate a diffusion by signs, so S_t is |T_t| itself
+    for seed in range(8):
+        gen = random_generator(int(2 + seed % 6), 1400 + seed, kind="contraction")
+        hat = modulus_generator(gen)
+        for t in TIMES:
+            np.testing.assert_allclose(semigroup_matrix(hat, t), np.abs(semigroup_matrix(gen, t)),
+                                       rtol=0.0, atol=1e-14)
+
+
+def test_closed_form_at_the_time_the_chain_failed_to_stabilise():
+    # at t = 1 the chain's increments stayed above its old 1e-8 stopping rule up to level 20
+    gen = FRUSTRATED[0]
+    hat = modulus_generator(gen)
+    limit = semigroup_matrix(hat, 1.0)
+    np.testing.assert_allclose(limit, expm(-hat.matrix), rtol=0.0, atol=1e-12)
+    level_19 = dyadic_modulus_semigroup(gen, 1.0, 19)
+    level_20 = dyadic_modulus_semigroup(gen, 1.0, 20)
+    assert np.abs(level_20 - level_19).max() > 1e-8
+    assert np.all(level_20 <= limit + 1e-12)
+    report = verify_domination(gen, trials=10, seed=0)
+    assert report.passed and report.max_violation <= 1e-10
+
+
+def test_dyadic_product_matches_the_chain():
     gen = random_generator(5, 11, kind="contraction")
     f = np.array([0.3, 1.2, 0.0, 2.0, 0.7])
     for level in range(4):
-        step = np.abs(semigroup_matrix(gen, 1.3 / 2**level))
         np.testing.assert_allclose(dyadic_modulus_product(gen, 1.3, level, f),
-                                   matrix_power(step, 2**level) @ f, atol=1e-12)
+                                   dyadic_modulus_semigroup(gen, 1.3, level) @ f, atol=1e-12)
 
 
 def test_dyadic_product_increases_under_refinement():
@@ -72,56 +133,19 @@ def test_dyadic_product_increases_under_refinement():
             prev = cur
 
 
-def test_modulus_semigroup_exemplar():
-    gen = exemplar_contraction_generator()
-    res = modulus_semigroup(gen, 0.5 * math.log(2.0))
-    assert res.depth == 1
-    np.testing.assert_allclose(res.S_t, np.array([[0.75, 0.25], [0.25, 0.75]]),
-                               atol=1e-14)
+def test_modulus_exemplar():
+    hat = modulus_generator(exemplar_contraction_generator())
+    np.testing.assert_allclose(semigroup_matrix(hat, 0.5 * math.log(2.0)),
+                               np.array([[0.75, 0.25], [0.25, 0.75]]), atol=1e-14)
 
 
 def test_modulus_semigroup_of_diffusion_is_the_semigroup():
-    # e^{-tL} is already entrywise nonnegative, so level one stabilises
     for seed in range(5):
         gen = random_generator(5, 1300 + seed, kind="diffusion")
-        for t in (0.05, 1.0, 20.0):
-            res = modulus_semigroup(gen, t)
-            assert res.depth == 1
-            np.testing.assert_allclose(res.S_t, semigroup_matrix(gen, t), atol=1e-12)
-
-
-def test_modulus_semigroup_matches_modulus_generator_flow():
-    for seed in range(5):
-        gen = random_generator(5, 1400 + seed, kind="contraction")
         hat = modulus_generator(gen)
-        for t in (0.3, 2.0):
-            res = modulus_semigroup(gen, t)
-            np.testing.assert_allclose(res.S_t, expm(-t * hat.matrix), atol=1e-9)
-
-
-def test_modulus_semigroup_two_step_consistency():
-    gen = random_generator(4, 15, kind="contraction")
-    s1 = modulus_semigroup(gen, 0.7).S_t
-    s2 = modulus_semigroup(gen, 1.4).S_t
-    np.testing.assert_allclose(s2, s1 @ s1, atol=1e-6)
-
-
-def test_modulus_semigroup_rejects_bad_time_and_tight_cap(monkeypatch):
-    import maxlab.modulus as modulus
-
-    gen = random_generator(4, 16, kind="contraction")
-    with pytest.raises(ValueError):
-        modulus_semigroup(gen, 0.0)
-    with pytest.raises(ValueError):
-        modulus_semigroup(gen, -1.0)
-    depth = modulus_semigroup(gen, 1.0).depth
-    # the cap is read at call time: one level short of the depth needed fails
-    monkeypatch.setattr(modulus, "MODULUS_LEVEL_CAP", depth - 1)
-    with pytest.raises(StabilizationError, match=f"within {depth - 1} levels"):
-        modulus_semigroup(gen, 1.0)
-    monkeypatch.setattr(modulus, "MODULUS_LEVEL_CAP", 0)
-    with pytest.raises(StabilizationError):
-        modulus_semigroup(gen, 1.0)
+        for t in (0.05, 1.0, 20.0):
+            np.testing.assert_allclose(semigroup_matrix(hat, t), semigroup_matrix(gen, t),
+                                       atol=1e-12)
 
 
 def test_modulus_generator_structure():
@@ -131,6 +155,7 @@ def test_modulus_generator_structure():
     off = ~np.eye(6, dtype=bool)
     np.testing.assert_array_equal(np.diag(hat.matrix), np.diag(ell))
     np.testing.assert_array_equal(hat.matrix[off], -np.abs(ell[off]))
+    assert hat.kind == "diffusion"
     # already a diffusion generator: taking the modulus again changes nothing
     diff = random_generator(6, 17, kind="diffusion")
     np.testing.assert_array_equal(modulus_generator(diff).matrix, diff.matrix)
@@ -147,11 +172,14 @@ def test_verify_domination_over_ensemble():
     for seed in range(8):
         gen = random_generator(5, 1900 + seed,
                                kind="diffusion" if seed % 2 == 0 else "contraction")
-        report = verify_domination(gen, trials=10, seed=seed)
-        assert report.passed
-        assert report.max_violation <= 1e-10
-        assert report.max_norm_excess <= 1e-10
-        assert report.checked == 4 * 10
+        for member in (gen, _frustrated(5, 1900 + seed)):
+            report = verify_domination(member, trials=10, seed=seed)
+            assert report.passed
+            assert report.max_violation <= 1e-10
+            assert report.max_norm_excess <= 1e-10
+            assert report.checked == 4 * 10
+            assert 0.0 <= report.eigen_residual < 1e-13
+            assert 0.0 <= report.orthonormality_defect < 1e-13
 
 
 def test_verify_domination_custom_grid_count(monkeypatch):
@@ -164,15 +192,15 @@ def test_verify_domination_custom_grid_count(monkeypatch):
 
 
 def test_subpositivity_pair_passes():
-    gen = random_generator(5, 21, kind="contraction")
-    t = semigroup_matrix(gen, 0.6)
-    s = modulus_semigroup(gen, 0.6).S_t
-    report = subpositivity_suite(gen.space, t, s, 2.5, BanachNormDescriptor(3, 4.0),
-                                 trials=10, seed=1)
-    assert report.passed
-    assert report.sup_margin <= 0.0
-    assert report.tensor_margin <= 0.0
-    assert report.positivity_min >= -1e-12
+    for gen in (random_generator(5, 21, kind="contraction"), _frustrated(5, 21)):
+        t = semigroup_matrix(gen, 0.6)
+        s = semigroup_matrix(modulus_generator(gen), 0.6)
+        report = subpositivity_suite(gen.space, t, s, 2.5, BanachNormDescriptor(3, 4.0),
+                                     trials=10, seed=1)
+        assert report.passed
+        assert report.sup_margin <= 0.0
+        assert report.tensor_margin <= 0.0
+        assert report.positivity_min >= -1e-12
 
 
 def test_subpositivity_negative_control():
@@ -270,8 +298,8 @@ def test_verify_domination_matches_the_per_trial_loop():
             report = verify_domination(gen, trials=trials, seed=index)
             assert report == verify_domination_by_trial(gen, trials=trials, seed=index)
             assert report.checked == trials * 4
-    diffusion = random_generator(6, 33, kind="diffusion")
-    assert verify_domination(diffusion, 3, 2) == verify_domination_by_trial(diffusion, 3, 2)
+    for gen in (random_generator(6, 33, kind="diffusion"), _frustrated(6, 33)):
+        assert verify_domination(gen, 3, 2) == verify_domination_by_trial(gen, 3, 2)
 
 
 def test_modulus_checks_refuse_no_trials():

@@ -27,9 +27,7 @@ from maxlab.semigroup import (
     build_ensemble,
     check_sector_angle,
     ensemble_diagnostics,
-    evolve,
     exemplar_contraction_generator,
-    imaginary_power,
     random_generator,
     sector_angles,
     sector_contraction_probe,
@@ -37,7 +35,8 @@ from maxlab.semigroup import (
     semigroup_matrix,
     stein_angle,
 )
-from oracles import imaginary_power_matrix, modulus_generator, refine_sector_grid, scalar_field
+from maxlab.modulus import modulus_generator
+from oracles import evolve, imaginary_power, imaginary_power_matrix, refine_sector_grid, scalar_field
 
 # The sampled contraction check, kept as the oracle of the exact dominance
 # check made at construction: ||exp(-t L)|| <= 1 + ABS_TOL at p = 1 and
